@@ -12,7 +12,11 @@ Checks, in order:
      docs/benchmarks.md names every bench binary;
   5. every admin-plane endpoint `vlsa_tool serve --admin` registers
      (parsed from the handle() calls in examples/vlsa_tool.cpp) is
-     documented in docs/observability.md.
+     documented in docs/observability.md;
+  6. every code identifier README.md and docs/*.md name in backticks
+     occurs somewhere in the code (src/ bench/ examples/ tests/
+     perfbench/ scripts/), so a deleted or renamed API cannot linger
+     in the docs.
 
 Stdlib only; exits non-zero with one line per problem.
 """
@@ -42,6 +46,19 @@ REQUIRED_DOCS = [
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+
+# Inline code spans that name a code identifier: a (qualified) C++ name,
+# optionally written as a call `name()`.  Paths, flags, dotted metric
+# names and expressions never match the grammar.  Of those, check the
+# ones that cannot be prose: names containing `_` or `::`, calls, and
+# CamelCase type names.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+IDENT_SPAN_RE = re.compile(r"[A-Za-z_]\w*(?:::[A-Za-z_]\w*)*(?:\(\))?")
+CAMEL_RE = re.compile(r"[A-Z][a-z0-9]+[A-Z]\w*")
+CODE_DIRS = ["src", "bench", "examples", "tests", "perfbench", "scripts"]
+CODE_SUFFIXES = {".cpp", ".hpp", ".h", ".py", ".cmake", ".txt"}
+# Names the docs take from outside this code base.
+EXTERNAL_IDENTIFIERS = {"histogram_quantile"}  # PromQL
 
 
 def github_anchor(heading: str) -> str:
@@ -96,6 +113,35 @@ def admin_endpoints() -> set:
     return paths
 
 
+def code_words() -> set:
+    """Every identifier-like word in the code directories."""
+    words = set()
+    for top in CODE_DIRS:
+        for path in (REPO / top).rglob("*"):
+            if path.suffix in CODE_SUFFIXES and path.is_file():
+                words.update(re.findall(r"\w+", path.read_text(
+                    errors="replace")))
+    return words
+
+
+def unknown_identifiers(text: str, words: set):
+    """(line, span) for every backticked identifier outside fenced
+    blocks whose name occurs nowhere in the code.  Prometheus names
+    (`vlsa_...`) are skipped: the exporter derives them from dotted
+    registry names, so they never occur verbatim."""
+    text = FENCE_RE.sub(lambda m: "\n" * m.group(0).count("\n"), text)
+    for match in CODE_SPAN_RE.finditer(text):
+        span = match.group(1).strip()
+        if not IDENT_SPAN_RE.fullmatch(span) or span.startswith("vlsa_"):
+            continue
+        if not ("_" in span or "::" in span or span.endswith("()")
+                or CAMEL_RE.fullmatch(span)):
+            continue
+        name = span.removesuffix("()").split("::")[-1]
+        if name not in words and name not in EXTERNAL_IDENTIFIERS:
+            yield text.count("\n", 0, match.start()) + 1, span
+
+
 def main() -> int:
     problems = []
 
@@ -105,6 +151,7 @@ def main() -> int:
 
     doc_files = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
     subcommands = tool_subcommands()
+    words = code_words()
 
     for doc in doc_files:
         text = doc.read_text()
@@ -131,6 +178,11 @@ def main() -> int:
                 problems.append(
                     f"{rel_doc}: unknown vlsa_tool subcommand '{cmd}' "
                     f"(binary implements: {', '.join(sorted(subcommands))})")
+
+        for line, span in unknown_identifiers(text, words):
+            problems.append(
+                f"{rel_doc}:{line}: `{span}` names no identifier in "
+                f"{'/ '.join(CODE_DIRS)}/")
 
     arch = (REPO / "docs" / "architecture.md")
     if arch.is_file():

@@ -16,8 +16,8 @@ void check_args(const BitVec& a, const BitVec& b, int k) {
   if (k < 1) throw std::invalid_argument("aca_add: window must be >= 1");
 }
 
-// Windowed carry chain shared by aca_add and aca_speculative_carries:
-// bit i of `carries` is the speculative carry out of position i.
+// Windowed carry chain of aca_add: bit i of `carries` is the
+// speculative carry out of position i.
 struct CarryTrace {
   BitVec carries;
   bool flagged = false;
@@ -67,12 +67,6 @@ AcaResult aca_add(const BitVec& a, const BitVec& b, int k, bool carry_in) {
   }
   out.carry_out = carry_prev;
   return out;
-}
-
-BitVec aca_speculative_carries(const BitVec& a, const BitVec& b, int k,
-                               bool carry_in) {
-  check_args(a, b, k);
-  return window_carries(a, b, k, carry_in).carries;
 }
 
 AcaResult aca_sub(const BitVec& a, const BitVec& b, int k) {
@@ -141,7 +135,7 @@ SpeculativeAdder::Outcome SpeculativeAdder::add(const BitVec& a,
   }
   const AcaResult spec = aca_add(a, b, window_);
   const auto exact = a.add_with_carry(b);
-  Outcome out{spec.sum, exact.sum, exact.carry_out, spec.flagged,
+  Outcome out{spec.sum, exact.sum, spec.flagged,
               spec.sum != exact.sum || spec.carry_out != exact.carry_out};
   record(out);
   return out;
@@ -154,7 +148,7 @@ SpeculativeAdder::Outcome SpeculativeAdder::sub(const BitVec& a,
   }
   const AcaResult spec = aca_sub(a, b, window_);
   const auto exact = a.add_with_carry(~b, /*carry_in=*/true);
-  Outcome out{spec.sum, exact.sum, exact.carry_out, spec.flagged,
+  Outcome out{spec.sum, exact.sum, spec.flagged,
               spec.sum != exact.sum || spec.carry_out != exact.carry_out};
   record(out);
   return out;

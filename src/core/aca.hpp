@@ -40,21 +40,6 @@ AcaResult aca_add(const BitVec& a, const BitVec& b, int k,
 /// Speculative subtraction a - b (two's complement: a + ~b + 1).
 AcaResult aca_sub(const BitVec& a, const BitVec& b, int k);
 
-/// The windowed carry chain itself: bit i of the result is the
-/// speculative carry out of position i (so `aca_add(...).sum` equals
-/// `p ^ (carries << 1 | carry_in)`).  The window semantics are exactly
-/// those of `aca_add`:
-///   * a full k-propagate window speculates carry 0 (the error source),
-///   * a window clamped at bit 0 with fewer than k positions sees the
-///     architectural `carry_in` exactly,
-///   * otherwise the nearest non-propagate position decides (its
-///     generate bit rides the propagate chain up to the queried bit).
-/// Exposed so alternative evaluators — in particular the bit-sliced
-/// batch engine in sim/batch_engine.hpp — can be checked against the
-/// internal carry lanes, not just the final sums.
-BitVec aca_speculative_carries(const BitVec& a, const BitVec& b, int k,
-                               bool carry_in = false);
-
 /// Just the error-detection signal ER (Sec. 4.1): true iff the addenda
 /// contain a propagate chain of length >= k.  ER == false guarantees
 /// `aca_add(a, b, k).sum == a + b` (tested property).
@@ -95,7 +80,6 @@ class SpeculativeAdder {
   struct Outcome {
     BitVec speculative;
     BitVec exact;
-    bool carry_out_exact;
     bool flagged;      ///< ER fired — VLSA would stall for recovery
     bool was_wrong;    ///< speculative != exact (implies flagged)
   };

@@ -540,9 +540,9 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   batch_occupancy_.record(batch.size());
 
   // One word-level un-transpose for the whole batch instead of a
-  // bit-at-a-time lane_value() per request; tiny batches (the batch-1
-  // baseline) extract their few lanes directly instead of paying for
-  // all 64.
+  // bit-at-a-time wide_lane_value() per request; tiny batches (the
+  // batch-1 baseline) extract their few lanes directly instead of paying
+  // for all 64.
   std::vector<BitVec> sums;
   if (batch.size() > 8) {
     sums = sim::wide_lane_values(scratch.sum_spec, width, lanes);

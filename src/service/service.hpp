@@ -8,8 +8,8 @@
 // system-scale version of that argument.  Producers submit operand
 // pairs into a bounded MPMC queue; dispatcher workers pop up to the
 // detected SIMD lane width of outstanding requests (64/256/512 — see
-// sim/isa.hpp; a partial batch after `max_linger`), evaluate
-// them in ONE `wide_aca_add` call, and complete the unflagged majority
+// sim/isa.hpp; a partial batch after `max_linger`), evaluate them in
+// ONE `wide_aca_add_into` call, and complete the unflagged majority
 // immediately — soundness (`wrong & ~flagged == 0`, tested in
 // tests/test_batch_engine.cpp) guarantees the fast path returns the
 // exact sum.  Flagged requests detour through a serial *recovery lane*

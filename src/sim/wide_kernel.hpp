@@ -9,14 +9,14 @@
 // kWords = G processes ONE group of 64*G lanes per call — the group
 // whose words sit at offset `w0` within each slice — so the dispatcher
 // covers a batch by looping `w0 = 0, G, 2G, ...` with any kernel whose
-// G divides `words`.  Mask outputs (carry-outs, ER flags, mispredict)
-// are lane masks occupying words [w0, w0+G).
+// G divides `words`.  Mask outputs (ER flags, mispredict) are lane
+// masks occupying words [w0, w0+G).
 //
-// The algorithms are verbatim the 64-lane recurrences PR 1 shipped
-// (exact carry chain, windowed speculative carries, doubling-run flag,
-// round-extension longest runs); the template only changes how many
-// lanes one word step advances.  Differential tests pin every
-// instantiation to the scalar model (tests/test_batch_engine.cpp).
+// The algorithms are the 64-lane recurrences (exact carry chain,
+// windowed speculative carries, doubling-run flag, round-extension
+// longest runs); the template only changes how many lanes one word
+// step advances.  Differential tests pin every instantiation to the
+// scalar model (tests/test_batch_engine.cpp).
 
 #include <algorithm>
 #include <bit>
@@ -29,14 +29,11 @@
 namespace vlsa::sim::detail {
 
 /// Output pointers for one kernel_eval call, all in the wide slice
-/// layout described above (sum/carry arrays are `n * stride` words,
-/// mask arrays are `stride` words; the kernel touches only its group).
+/// layout described above (sum arrays are `n * stride` words, mask
+/// arrays are `stride` words; the kernel touches only its group).
 struct EvalOut {
   std::uint64_t* sum_spec = nullptr;
   std::uint64_t* sum_exact = nullptr;
-  std::uint64_t* carry_spec = nullptr;
-  std::uint64_t* carry_out_spec = nullptr;
-  std::uint64_t* carry_out_exact = nullptr;
   std::uint64_t* flagged = nullptr;
   std::uint64_t* wrong = nullptr;
 };
@@ -89,7 +86,6 @@ void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
                       w0);
     ec = g[i] | (p[i] & ec);
   }
-  ec.store(out.carry_out_exact + w0);
 
   // Speculative carries: each bit i ripples only its window
   // [max(0, i-k+1) .. i].  The seed entering the window is 0 when the
@@ -102,7 +98,8 @@ void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
   //
   // `wrong` is accumulated in the same pass: a lane's speculative sum
   // bit differs from the exact one iff the incoming carries differed,
-  // and the freshly computed spec sum is still in a register here.
+  // and the freshly computed spec sum is still in a register here.  The
+  // carry-outs (`sc`, `ec` after their loops) are compared last.
   Word wrong = Word::zero();
   Word sc = cin;  // c_{i-1}; c_{-1} = carry_in
   for (int i = 0; i < n; ++i) {
@@ -115,26 +112,12 @@ void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
     for (int j = lo; j <= i; ++j) {
       c = g[j] | (p[j] & c);
     }
-    c.store(out.carry_spec + at);
     sc = c;
   }
-  sc.store(out.carry_out_spec + w0);
   wrong = wrong | (sc ^ ec);
   wrong.store(out.wrong + w0);
 
   kernel_flag_from_p(p, k).store(out.flagged + w0);
-}
-
-/// Just the ER lane mask for one group (matches scalar `aca_flag`).
-template <class Word>
-void kernel_flag_only(const std::uint64_t* a, const std::uint64_t* b, int n,
-                      int stride, int w0, int k, std::uint64_t* flagged) {
-  std::vector<Word> p(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    p[i] = Word::load(a + static_cast<std::size_t>(i) * stride + w0) ^
-           Word::load(b + static_cast<std::size_t>(i) * stride + w0);
-  }
-  kernel_flag_from_p(p, k).store(flagged + w0);
 }
 
 /// Per-lane longest propagate chain for one group; `runs` receives
@@ -204,9 +187,6 @@ struct Kernels {
   void (*eval)(const std::uint64_t* a, const std::uint64_t* b, int n,
                int stride, int w0, int k, const std::uint64_t* carry_in,
                const EvalOut& out) = nullptr;
-  void (*flag_only)(const std::uint64_t* a, const std::uint64_t* b, int n,
-                    int stride, int w0, int k,
-                    std::uint64_t* flagged) = nullptr;
   void (*longest_runs)(const std::uint64_t* a, const std::uint64_t* b, int n,
                        int stride, int w0, int* runs) = nullptr;
   void (*transpose64)(std::uint64_t* t) = nullptr;
@@ -215,7 +195,6 @@ struct Kernels {
 template <class Word>
 const Kernels* make_kernels() {
   static const Kernels table{Word::kWords, &kernel_eval<Word>,
-                             &kernel_flag_only<Word>,
                              &kernel_longest_runs<Word>,
                              &kernel_transpose64<Word>};
   return &table;
