@@ -13,7 +13,6 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -28,7 +27,7 @@ namespace detail {
 
 // ---------------------------------------------------------------------
 // Shared metric handles (one resolve at server construction; recording
-// is lock-free).  Held by shared_ptr so a completion callback that
+// is lock-free).  Held by shared_ptr so a completion context that
 // outlives the Server (a request still in the service queue during a
 // forced teardown) never touches freed memory.
 struct Metrics {
@@ -70,10 +69,10 @@ struct Metrics {
 
 struct Connection;
 
-// The one object completion callbacks are allowed to touch besides the
+// The one object completion contexts are allowed to touch besides the
 // connection itself: an eventfd plus a ready-list.  Owned by shared_ptr
-// from the loop AND every connection, so a callback firing after the
-// loop thread exited still has a live eventfd to (harmlessly) poke.
+// from the loop AND every connection, so a completion arriving after
+// the loop thread exited still has a live eventfd to (harmlessly) poke.
 struct Notifier {
   Notifier() : wakefd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
     if (wakefd < 0) throw std::runtime_error("net: eventfd failed");
@@ -98,10 +97,12 @@ struct Notifier {
     }
   }
 
-  std::vector<std::shared_ptr<Connection>> take() {
+  /// Swap the ready-list into `out` (which the caller has emptied), so
+  /// both vectors keep their capacity from one wakeup to the next.
+  void take(std::vector<std::shared_ptr<Connection>>& out) {
     util::LockGuard lock(mutex);
     signaled = false;
-    return std::exchange(ready, {});
+    out.swap(ready);
   }
 
   const int wakefd;
@@ -113,7 +114,7 @@ struct Notifier {
 // Per-connection state.  Everything except `pending`/`inflight` is
 // owned by the loop thread; `pending` is the producer side of the
 // response path (service threads append under the mutex) and
-// `inflight` counts requests inside the service.
+// `inflight` counts this connection's live burst contexts (below).
 struct Connection : std::enable_shared_from_this<Connection> {
   int fd = -1;
   std::uint64_t id = 0;
@@ -124,7 +125,9 @@ struct Connection : std::enable_shared_from_this<Connection> {
   bool in_epoll = false;
   bool read_done = false;        ///< EOF seen (or server draining)
   bool close_requested = false;  ///< fatal: drop writes, close asap
-  std::optional<RequestFrame> stalled;  ///< Block policy: parked frame
+  /// Block policy: frames a full queue refused, in arrival order (at
+  /// most one read chunk's worth — the socket is not read meanwhile).
+  std::vector<RequestFrame> stalled;
   std::vector<std::uint8_t> outbuf;     ///< loop-owned write staging
   std::size_t out_off = 0;
 
@@ -141,6 +144,90 @@ struct Connection : std::enable_shared_from_this<Connection> {
     util::LockGuard lock(pending_mutex);
     return pending.size();
   }
+};
+
+// One read burst's completion context: every request a bulk submit
+// accepted completes through it, and the burst's last completion
+// frees it.  It holds what each response needs — the connection, the
+// metrics, the frame ids and trace bits — and `t0`, the bulk push that
+// is every frame's dispatch instant.  `refs` starts at the burst size
+// plus one guard the loop holds through the submit; the loop drops the
+// guard together with the refused requests' references, so the context
+// lives until both the submit call and every accepted request are done.
+struct Burst final : service::AdderService::CompletionSink {
+  struct Tag {
+    std::uint64_t id = 0;
+    /// The client's sampling decision, carried on the wire: echoed in
+    /// the response, and dispatch -> response-encoded is bracketed by a
+    /// net-serve span under the same request id, so trace::merge can
+    /// stitch the client's and server's views of the request together.
+    bool sampled = false;
+  };
+
+  Burst(std::shared_ptr<Connection> connection,
+        std::shared_ptr<Metrics> metrics_in, int width_in, int window_in)
+      : conn(std::move(connection)),
+        metrics(std::move(metrics_in)),
+        width(width_in),
+        window(window_in) {}
+
+  void complete(std::size_t index, service::Completion&& completion) override {
+    const Tag tag = tags[index];
+    ResponseFrame response;
+    response.id = tag.id;
+    response.status = Status::Ok;
+    response.flags = static_cast<std::uint8_t>(
+        (completion.flagged ? kFlagRecovered : 0) |
+        (completion.speculative_wrong ? kFlagWrong : 0) |
+        (tag.sampled ? kFlagTraceSampled : 0));
+    response.width = width;
+    response.window = window;
+    response.latency_ticks =
+        static_cast<std::uint64_t>(completion.latency_cycles);
+    response.sum = std::move(completion.sum);
+    {
+      util::LockGuard lock(conn->pending_mutex);
+      encode_response(response, conn->pending);
+    }
+    metrics->frames_out.increment();
+    const auto server_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    metrics->server_ns.record(server_ns);
+    if (tag.sampled && trace::enabled()) {
+      trace::EventArgs args;
+      args.batch = conn->id;
+      args.k = window;
+      args.er = completion.flagged ? 1 : 0;
+      args.req = tag.id;
+      args.has_req = true;
+      trace::emit_span(trace::EventName::kNetServe, trace::to_session_ns(t0),
+                       server_ns, args);
+    }
+    // Another thread may free `this` the moment our reference drops, so
+    // keep the connection on the stack for the wakeup.
+    auto keep = conn;
+    release(1);
+    Notifier& notifier = *keep->notifier;
+    notifier.push(std::move(keep));
+  }
+
+  /// Drop `n` references; the last one retires the burst from the
+  /// connection's in-flight count and frees the context.
+  void release(std::size_t n) {
+    if (refs.fetch_sub(n, std::memory_order_acq_rel) != n) return;
+    conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+    delete this;
+  }
+
+  const std::shared_ptr<Connection> conn;
+  const std::shared_ptr<Metrics> metrics;
+  const int width;
+  const int window;
+  std::chrono::steady_clock::time_point t0;
+  std::vector<Tag> tags;
+  std::atomic<std::size_t> refs{0};
 };
 
 // A fake capability naming the event-loop thread itself.  State marked
@@ -274,7 +361,8 @@ class EventLoop {
 
   void process_ready(std::vector<std::uint8_t>& chunk)
       REQUIRES(loop_role_) {
-    for (auto& conn : notifier_->take()) {
+    notifier_->take(ready_);
+    for (auto& conn : ready_) {
       if (conn == nullptr) continue;  // pure wakeup
       if (!conn->in_epoll && conn->fd >= 0 && !conn->close_requested) {
         // Register even when a drain has already begun: the socket was
@@ -290,6 +378,7 @@ class EventLoop {
       flush_writes(*conn);
       maybe_close(*conn);
     }
+    ready_.clear();
   }
 
   void register_conn(const std::shared_ptr<Connection>& conn)
@@ -315,16 +404,14 @@ class EventLoop {
   }
 
   // Drain the socket until EAGAIN (edge-triggered contract), feeding
-  // the decoder and dispatching complete frames as they appear.  Under
-  // Block-policy backpressure (a parked frame) the read stops — bytes
-  // accumulate in the kernel buffer and TCP pushes back on the client.
+  // the decoder and submitting each read's complete frames as one
+  // burst.  Under Block-policy backpressure (parked frames) the read
+  // stops — bytes accumulate in the kernel buffer and TCP pushes back
+  // on the client.
   void handle_readable(Connection& conn, std::vector<std::uint8_t>& chunk)
       REQUIRES(loop_role_) {
     if (conn.fd < 0 || conn.read_done || conn.close_requested) return;
-    if (conn.stalled.has_value()) {
-      metrics_->read_stalls.increment();
-      return;
-    }
+    if (!conn.stalled.empty()) return;
     const bool sampled = trace::enabled() && trace::sample();
     const auto t_read = std::chrono::steady_clock::now();
     std::size_t burst = 0;
@@ -335,7 +422,7 @@ class EventLoop {
         burst += static_cast<std::size_t>(n);
         conn.decoder.feed(chunk.data(), static_cast<std::size_t>(n));
         if (!process_buffered(conn)) break;  // poisoned -> closing
-        if (conn.stalled.has_value()) break;  // backpressure
+        if (!conn.stalled.empty()) break;     // backpressure
         continue;
       }
       if (n == 0) {
@@ -365,16 +452,21 @@ class EventLoop {
     }
   }
 
-  /// Decode and dispatch every complete frame currently buffered.
-  /// Returns false when the connection is now fatally broken.
+  /// Decode every complete frame currently buffered and submit them as
+  /// one burst.  Returns false when the connection is now fatally
+  /// broken.
   bool process_buffered(Connection& conn) REQUIRES(loop_role_) {
+    if (!conn.stalled.empty()) return true;  // parked frames go first
     const bool sampled = trace::enabled() && trace::sample();
     const auto t_decode = std::chrono::steady_clock::now();
     RequestFrame request;
     ResponseFrame response;
     int frames = 0;
     bool ok = true;
-    while (!conn.stalled.has_value()) {
+    bool responded = false;
+    ops_.clear();
+    tags_.clear();
+    for (;;) {
       const auto result = conn.decoder.next(request, response);
       if (result == FrameDecoder::Result::NeedMore) break;
       if (result == FrameDecoder::Result::Error) {
@@ -383,7 +475,6 @@ class EventLoop {
         ok = false;
         break;
       }
-      metrics_->frames_in.increment();
       ++frames;
       if (conn.decoder.type() != FrameType::Request) {
         // A response frame sent *to* the server is protocol misuse.
@@ -392,7 +483,26 @@ class EventLoop {
         ok = false;
         break;
       }
-      dispatch_request(conn, std::move(request));
+      if (request.width != width_ ||
+          (request.window != 0 && request.window != window_)) {
+        respond(conn, request.id, Status::Error, request.width);
+        metrics_->frames_errored.increment();
+        responded = true;
+        continue;
+      }
+      tags_.push_back(
+          {request.id,
+           (request.flags & kFlagTraceSampled) != 0 && trace::enabled()});
+      ops_.emplace_back(std::move(request.a), std::move(request.b));
+    }
+    if (frames > 0) metrics_->frames_in.increment(frames);
+    if (!ops_.empty()) {
+      responded |= submit_burst(conn);
+      if (!conn.stalled.empty()) {
+        // The socket stops being read here; retry_stalled resumes it.
+        metrics_->read_stalls.increment();
+        stalled_.insert(conn.fd);
+      }
     }
     if (frames > 0) {
       const std::uint64_t dur = ns_since(t_decode);
@@ -405,141 +515,87 @@ class EventLoop {
                          trace::to_session_ns(t_decode), dur, args);
       }
     }
+    if (responded) flush_writes(conn);
     return ok;
   }
 
-  void dispatch_request(Connection& conn, RequestFrame request)
-      REQUIRES(loop_role_) {
-    if (request.width != width_ ||
-        (request.window != 0 && request.window != window_)) {
-      ResponseFrame error;
-      error.id = request.id;
-      error.status = Status::Error;
-      error.width = request.width;
-      error.window = window_;
-      metrics_->frames_errored.increment();
-      enqueue_response(conn, error);
-      return;
-    }
-    if (!try_submit(conn, request)) {
-      if (reject_) {
-        ResponseFrame rejected;
-        rejected.id = request.id;
-        rejected.status = Status::Rejected;
-        rejected.width = request.width;
-        rejected.window = window_;
-        metrics_->frames_rejected.increment();
-        enqueue_response(conn, rejected);
-      } else {
-        // Block policy: park the frame, stop reading this socket.
-        conn.stalled = std::move(request);
-        stalled_.insert(conn.fd);
-      }
-    }
-  }
-
-  /// One submission attempt.  The service's try path hands the
-  /// operands back untouched when the queue is full, so the frame
-  /// survives a failed attempt (the Block-policy retry path re-submits
-  /// the SAME parked frame) and the success path never pays a copy.
-  bool try_submit(Connection& conn, RequestFrame& request)
-      REQUIRES(loop_role_) {
-    auto shared = conn.shared_from_this();
-    const std::uint64_t rid = request.id;
-    const int width = width_;
-    const int window = window_;
-    // The client's sampling decision, carried on the wire: echo it in
-    // the response and bracket dispatch -> response-encoded with a
-    // net-serve span under the same request id, so trace::merge can
-    // stitch the client's and server's views of this request together.
-    const bool wire_sampled =
-        (request.flags & kFlagTraceSampled) != 0 && trace::enabled();
-    auto metrics = metrics_;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto callback = [shared = std::move(shared), rid, width, window,
-                     metrics = std::move(metrics), t0,
-                     wire_sampled](service::Completion completion) {
-      ResponseFrame response;
-      response.id = rid;
-      response.status = Status::Ok;
-      response.flags = static_cast<std::uint8_t>(
-          (completion.flagged ? kFlagRecovered : 0) |
-          (completion.speculative_wrong ? kFlagWrong : 0) |
-          (wire_sampled ? kFlagTraceSampled : 0));
-      response.width = width;
-      response.window = window;
-      response.latency_ticks =
-          static_cast<std::uint64_t>(completion.latency_cycles);
-      response.sum = std::move(completion.sum);
-      {
-        util::LockGuard lock(shared->pending_mutex);
-        encode_response(response, shared->pending);
-      }
-      metrics->frames_out.increment();
-      const auto server_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      metrics->server_ns.record(server_ns);
-      if (wire_sampled && trace::enabled()) {
-        trace::EventArgs args;
-        args.batch = shared->id;
-        args.k = window;
-        args.er = completion.flagged ? 1 : 0;
-        args.req = rid;
-        args.has_req = true;
-        trace::emit_span(trace::EventName::kNetServe,
-                         trace::to_session_ns(t0), server_ns, args);
-      }
-      shared->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      shared->notifier->push(shared);
-    };
+  /// Submit the frames in ops_ (operands) and tags_ (ids and trace
+  /// bits) as one burst with one bulk push, then settle the refused
+  /// ones in arrival order: Error when the service is closing, REJECTED
+  /// under Reject, parked on the connection under Block.  Returns
+  /// whether any response was queued (the caller flushes).
+  bool submit_burst(Connection& conn) REQUIRES(loop_role_) {
+    const std::size_t n = ops_.size();
     conn.inflight.fetch_add(1, std::memory_order_acq_rel);
-    bool accepted = false;
-    try {
-      accepted = service_.try_submit_callback(
-          std::move(request.a), std::move(request.b), std::move(callback));
-    } catch (const std::exception&) {
-      // Service closed under us (teardown race): answer Error rather
-      // than leaving the client hanging.
-      conn.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      ResponseFrame error;
-      error.id = rid;
-      error.status = Status::Error;
-      error.width = width_;
-      error.window = window_;
-      metrics_->frames_errored.increment();
-      enqueue_response(conn, error);
-      return true;  // consumed (never retried)
-    }
-    if (!accepted) {
-      conn.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      return false;
-    }
-    if (wire_sampled || (trace::enabled() && trace::sample())) {
-      trace::EventArgs args;
-      args.batch = conn.id;
-      args.k = window_;
-      if (wire_sampled) {
-        args.req = rid;
-        args.has_req = true;
+    auto* burst = new Burst(conn.shared_from_this(), metrics_, width_, window_);
+    burst->tags.assign(tags_.begin(), tags_.end());
+    // The loop's guard reference: the burst outlives this call even if
+    // every accepted request completes before try_submit_many returns.
+    burst->refs.store(n + 1, std::memory_order_relaxed);
+    refused_.clear();
+    burst->t0 = std::chrono::steady_clock::now();
+    const auto result = service_.try_submit_many(ops_, *burst, refused_);
+    if (trace::enabled()) {
+      std::size_t next_refused = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (next_refused < refused_.size() && refused_[next_refused] == i) {
+          ++next_refused;
+          continue;
+        }
+        const Burst::Tag& tag = tags_[i];
+        if (!tag.sampled && !trace::sample()) continue;
+        trace::EventArgs args;
+        args.batch = conn.id;
+        args.k = window_;
+        if (tag.sampled) {
+          args.req = tag.id;
+          args.has_req = true;
+        }
+        trace::emit_instant(trace::EventName::kNetDispatch, args);
       }
-      trace::emit_instant(trace::EventName::kNetDispatch, args);
     }
-    return true;
+    bool responded = false;
+    for (const std::size_t i : refused_) {
+      const Burst::Tag& tag = tags_[i];
+      if (result.closed) {
+        // Service closed under us (teardown race): answer Error rather
+        // than leaving the client hanging.
+        respond(conn, tag.id, Status::Error, width_);
+        metrics_->frames_errored.increment();
+        responded = true;
+      } else if (reject_) {
+        respond(conn, tag.id, Status::Rejected, width_);
+        metrics_->frames_rejected.increment();
+        responded = true;
+      } else {
+        RequestFrame& parked = conn.stalled.emplace_back();
+        parked.id = tag.id;
+        parked.flags = tag.sampled ? kFlagTraceSampled : 0;
+        parked.width = width_;
+        parked.window = window_;
+        parked.a = std::move(ops_[i].first);
+        parked.b = std::move(ops_[i].second);
+      }
+    }
+    burst->release(refused_.size() + 1);  // may free `burst`
+    return responded;
   }
 
   /// Loop-thread response path (errors/rejections): same pending
-  /// buffer as the completion callbacks, so byte ordering on the wire
-  /// is a single append order.
-  void enqueue_response(Connection& conn, const ResponseFrame& response)
-      REQUIRES(loop_role_) {
+  /// buffer as the completion contexts, so byte ordering on the wire
+  /// is a single append order.  The caller flushes.
+  void respond(Connection& conn, std::uint64_t id, Status status,
+               int width) REQUIRES(loop_role_) {
+    ResponseFrame response;
+    response.id = id;
+    response.status = status;
+    response.width = width;
+    response.window = window_;
     {
       util::LockGuard lock(conn.pending_mutex);
       encode_response(response, conn.pending);
     }
     metrics_->frames_out.increment();
-    flush_writes(conn);
   }
 
   void flush_writes(Connection& conn) REQUIRES(loop_role_) {
@@ -609,13 +665,23 @@ class EventLoop {
         continue;
       }
       auto conn = it->second;
-      if (!conn->stalled.has_value() ||
-          !try_submit(*conn, *conn->stalled)) {
+      if (conn->stalled.empty()) {
+        stalled_.erase(fd);
         continue;
       }
-      conn->stalled.reset();
+      // The parked frames go back in as one burst; whatever the queue
+      // refuses again re-parks in the same order.
+      ops_.clear();
+      tags_.clear();
+      for (RequestFrame& frame : conn->stalled) {
+        tags_.push_back({frame.id, (frame.flags & kFlagTraceSampled) != 0});
+        ops_.emplace_back(std::move(frame.a), std::move(frame.b));
+      }
+      conn->stalled.clear();
+      if (submit_burst(*conn)) flush_writes(*conn);
+      if (!conn->stalled.empty()) continue;  // still full
       stalled_.erase(fd);
-      // The parked frame blocked both the decoder and the socket;
+      // The parked frames blocked both the decoder and the socket;
       // catch both up now.
       if (process_buffered(*conn)) handle_readable(*conn, chunk);
       maybe_close(*conn);
@@ -639,7 +705,7 @@ class EventLoop {
       if (expired) conn->close_requested = true;
       flush_writes(*conn);
       if (!conn->close_requested && !conn->read_done &&
-          !conn->stalled.has_value() &&
+          conn->stalled.empty() &&
           conn->inflight.load(std::memory_order_acquire) == 0 &&
           conn->decoder.buffered() == 0 &&
           conn->out_off >= conn->outbuf.size() &&
@@ -658,7 +724,7 @@ class EventLoop {
       if (no_inflight) destroy(conn);
       return;
     }
-    if (conn.read_done && !conn.stalled.has_value() && no_inflight &&
+    if (conn.read_done && conn.stalled.empty() && no_inflight &&
         conn.out_off >= conn.outbuf.size() && conn.pending_bytes() == 0) {
       destroy(conn);
     }
@@ -702,6 +768,13 @@ class EventLoop {
   std::unordered_map<int, std::shared_ptr<Connection>> conns_
       GUARDED_BY(loop_role_);
   std::set<int> stalled_ GUARDED_BY(loop_role_);
+  // Scratch reused across bursts and wakeups, so the steady state
+  // allocates none of it.
+  std::vector<std::pair<util::BitVec, util::BitVec>> ops_
+      GUARDED_BY(loop_role_);
+  std::vector<Burst::Tag> tags_ GUARDED_BY(loop_role_);
+  std::vector<std::size_t> refused_ GUARDED_BY(loop_role_);
+  std::vector<std::shared_ptr<Connection>> ready_ GUARDED_BY(loop_role_);
 };
 
 }  // namespace detail

@@ -7,22 +7,27 @@
 // shutdown never hangs in accept) plus N event-loop threads.  Each
 // accepted connection is pinned to one loop round-robin; all of its
 // socket I/O, decoding, and epoll bookkeeping happen on that loop
-// thread.  Completions arrive on *service* threads (dispatcher fast
-// path or recovery lane): the completion callback encodes the response
-// into the connection's pending buffer and wakes the owning loop
-// through an eventfd — the loop does the actual write.  Nothing in the
-// request path ever blocks an event loop: submission into the service
-// uses try-semantics only (AdderService::try_submit_callback).
+// thread.  The hand-off is per read burst: the loop decodes every
+// complete frame a read(2) delivered and submits them all with ONE
+// non-blocking bulk push (AdderService::try_submit_many) and ONE
+// completion context, which holds the connection, the frame ids and
+// the dispatch timestamp, and is freed by the burst's last completion.
+// Completions arrive on *service* threads (dispatcher fast path or
+// recovery lane): the context encodes the response into the
+// connection's pending buffer and wakes the owning loop through an
+// eventfd — the loop does the actual write.  Nothing in the request
+// path ever blocks an event loop: submission uses try-semantics only.
 //
 // Backpressure maps the service's overflow policy onto the socket:
 //
-//   Block  — a full queue parks the *decoded* request on the
-//            connection and the loop stops reading that socket; bytes
-//            back up in kernel buffers, TCP flow control reaches the
-//            client, and the loop retries on its next tick.  No frame
-//            is ever dropped.
-//   Reject — a full queue answers immediately with a
-//            Status::Rejected frame (counted in net.frames_rejected
+//   Block  — the frames a full queue refused park on the connection in
+//            arrival order (at most one read's worth) and the loop
+//            stops reading that socket; bytes back up in kernel
+//            buffers, TCP flow control reaches the client, and the
+//            loop resubmits the parked frames on its next tick.  No
+//            frame is ever dropped.
+//   Reject — exactly the refused frames are answered with
+//            Status::Rejected frames (counted in net.frames_rejected
 //            and service.rejected); the client decides what to retry.
 //
 // A protocol violation (bad magic, hostile lengths — see

@@ -103,15 +103,29 @@ class BoundedQueue {
         while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
         --waiting_producers_;
         if (closed_) break;
-        while (pushed < items.size() && items_.size() < capacity_) {
-          items_.push_back(std::move(items[pushed]));
-          ++pushed;
-        }
+        pushed += push_prefix_locked(items, pushed);
         wake = waiting_consumers_ > 0;
       }
       // More than one consumer can make progress on a multi-item push.
       if (wake) not_empty_.notify_all();
     }
+    return pushed;
+  }
+
+  /// Non-blocking bulk push: moves the longest prefix of `items` that
+  /// fits under ONE lock, with at most one wakeup.  Returns the number
+  /// pushed — 0 when the queue is closed.  The refused suffix stays in
+  /// `items` untouched, so the caller can hand it back or retry it.
+  std::size_t try_push_many(std::vector<T>& items) {
+    std::size_t pushed = 0;
+    bool wake = false;
+    {
+      typename Sync::LockGuard lock(mutex_);
+      if (closed_) return 0;
+      pushed = push_prefix_locked(items, 0);
+      wake = pushed > 0 && waiting_consumers_ > 0;
+    }
+    if (wake) not_empty_.notify_all();
     return pushed;
   }
 
@@ -257,6 +271,18 @@ class BoundedQueue {
   }
 
  private:
+  /// Move items[from, ...) in until the queue is full; returns the
+  /// count moved.
+  std::size_t push_prefix_locked(std::vector<T>& items, std::size_t from)
+      REQUIRES(mutex_) {
+    std::size_t i = from;
+    while (i < items.size() && items_.size() < capacity_) {
+      items_.push_back(std::move(items[i]));
+      ++i;
+    }
+    return i - from;
+  }
+
   std::size_t take_locked(std::vector<T>& out, std::size_t max)
       REQUIRES(mutex_) {
     std::size_t taken = 0;

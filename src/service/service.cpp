@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -240,83 +241,14 @@ std::optional<std::future<Completion>> AdderService::submit(BitVec a,
   return future;
 }
 
-bool AdderService::try_submit_callback(BitVec&& a, BitVec&& b,
-                                       CompletionCallback callback) {
-  if (closed_.load(std::memory_order_acquire)) {
-    throw std::runtime_error("AdderService: submit after close");
-  }
-  if (a.width() != config_.pipeline.width ||
-      b.width() != config_.pipeline.width) {
-    throw std::invalid_argument("AdderService: operand width mismatch");
-  }
-  // Hash routing keeps net-server backpressure per-shard: a retry of
-  // the same parked frame recomputes the same shard, so a full shard
-  // stalls exactly the connections feeding it and no others.
-  const std::size_t shard_index = pick_shard(a, b);
-  Shard& shard = *shards_[shard_index];
-  Request request;
-  request.a = std::move(a);
-  request.b = std::move(b);
-  request.callback = std::move(callback);
-  request.arrival_cycle = shard.vclock.load(std::memory_order_relaxed);
-  if (config_.record_wall_time) {
-    request.arrival_time = std::chrono::steady_clock::now();
-  }
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  // Always try-semantics: this path exists for event loops, which must
-  // never park on a condition variable.  The caller translates a full
-  // queue into its own backpressure (socket read stall or REJECTED
-  // frame); only the Reject policy counts it as a service rejection.
-  if (!shard.queue.try_push(std::move(request))) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    // Not consumed on failure: hand the operands back so a Block-policy
-    // caller can park them for retry without having paid a defensive
-    // copy on every successful submit (the overwhelmingly common case).
-    a = std::move(request.a);
-    b = std::move(request.b);
-    if (shard.queue.closed()) {
-      throw std::runtime_error("AdderService: submit after close");
-    }
-    if (config_.overflow == OverflowPolicy::Reject) {
-      rejected_.increment();
-      if (shard.rejected != nullptr) shard.rejected->increment();
-    }
-    return false;
-  }
-  submitted_.increment();
-  if (shard.submitted != nullptr) shard.submitted->increment();
-  if (trace::enabled() && trace::sample()) {
-    trace::EventArgs args;
-    args.k = config_.pipeline.window;
-    if (config_.shards > 1) args.shard = static_cast<int>(shard_index);
-    trace::emit_instant(trace::EventName::kSubmit, args);
-  }
-  return true;
-}
-
 std::vector<std::optional<std::future<Completion>>>
 AdderService::submit_many(std::vector<std::pair<BitVec, BitVec>> ops) {
   if (closed_.load(std::memory_order_acquire)) {
     throw std::runtime_error("AdderService: submit after close");
   }
-  const std::size_t n_shards = shards_.size();
-  // Routing granularity: RoundRobin takes ONE ticket for the whole
-  // chunk (the chunk is submit_many's unit of work — rotating chunks
-  // keeps the one-bulk-transaction batching win), Hash buckets request
-  // by request and pays one bulk push per non-empty bucket.
-  std::size_t chunk_shard = 0;
-  if (n_shards > 1 && config_.route == RoutePolicy::RoundRobin) {
-    chunk_shard = static_cast<std::size_t>(
-        rr_next_.fetch_add(1, std::memory_order_relaxed) % n_shards);
-  }
-  std::vector<std::vector<Request>> buckets(n_shards);
-  std::vector<std::vector<std::size_t>> origin(n_shards);
+  std::vector<Request> requests(ops.size());
   std::vector<std::optional<std::future<Completion>>> futures;
   futures.reserve(ops.size());
-  // Arrival stamps are read once per shard, not per request: requests
-  // of one chunk landing on one shard share an arrival cycle, which is
-  // what lets dispatch aggregate their latency records into runs.
-  std::vector<long long> arrival(n_shards, -1);
   const auto now = config_.record_wall_time
                        ? std::chrono::steady_clock::now()
                        : std::chrono::steady_clock::time_point{};
@@ -326,75 +258,150 @@ AdderService::submit_many(std::vector<std::pair<BitVec, BitVec>> ops) {
         b.width() != config_.pipeline.width) {
       throw std::invalid_argument("AdderService: operand width mismatch");
     }
-    const std::size_t shard_index =
-        (n_shards > 1 && config_.route == RoutePolicy::Hash)
-            ? route_of(a, b)
-            : chunk_shard;
-    if (arrival[shard_index] < 0) {
-      arrival[shard_index] =
-          shards_[shard_index]->vclock.load(std::memory_order_relaxed);
-    }
-    Request request;
-    request.a = std::move(a);
-    request.b = std::move(b);
-    request.arrival_cycle = arrival[shard_index];
-    request.arrival_time = now;
-    futures.push_back(request.promise.emplace().get_future());
-    origin[shard_index].push_back(i);
-    buckets[shard_index].push_back(std::move(request));
+    requests[i].a = std::move(a);
+    requests[i].b = std::move(b);
+    requests[i].arrival_time = now;
+    futures.push_back(requests[i].promise.emplace().get_future());
   }
-  inflight_.fetch_add(static_cast<long long>(ops.size()),
-                      std::memory_order_acq_rel);
   const bool block = config_.overflow == OverflowPolicy::Block &&
                      config_.workers > 0;
-  std::size_t accepted = 0;
-  bool any_closed = false;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    if (buckets[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::size_t taken = 0;
-    if (block) {
-      taken = shard.queue.push_many_block(buckets[s]);
-    } else {
-      // Reject policy (and pump mode, where blocking would deadlock):
-      // leading requests are accepted until the queue fills.
-      for (auto& request : buckets[s]) {
-        if (!shard.queue.try_push(std::move(request))) break;
-        ++taken;
-      }
+  std::vector<std::size_t> refused;
+  const BulkResult result =
+      push_routed(requests, block, /*count_rejected=*/true, refused);
+  if (result.closed) {
+    throw std::runtime_error("AdderService: submit after close");
+  }
+  for (const std::size_t i : refused) futures[i].reset();
+  return futures;
+}
+
+AdderService::BulkResult AdderService::try_submit_many(
+    std::span<std::pair<BitVec, BitVec>> ops, CompletionSink& sink,
+    std::vector<std::size_t>& refused) {
+  if (ops.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("AdderService: bulk submit too large");
+  }
+  for (const auto& [a, b] : ops) {
+    if (a.width() != config_.pipeline.width ||
+        b.width() != config_.pipeline.width) {
+      throw std::invalid_argument("AdderService: operand width mismatch");
     }
-    accepted += taken;
+  }
+  const std::size_t first_refused = refused.size();
+  if (closed_.load(std::memory_order_acquire)) {
+    for (std::size_t i = 0; i < ops.size(); ++i) refused.push_back(i);
+    return {0, true};
+  }
+  std::vector<Request> requests(ops.size());
+  const auto now = config_.record_wall_time
+                       ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{};
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    requests[i].a = std::move(ops[i].first);
+    requests[i].b = std::move(ops[i].second);
+    requests[i].sink = &sink;
+    requests[i].sink_index = static_cast<std::uint32_t>(i);
+    requests[i].arrival_time = now;
+  }
+  // Always try-semantics: this path exists for event loops, which must
+  // never park on a condition variable.  Only the Reject policy counts
+  // a refusal as a service rejection.
+  const BulkResult result = push_routed(
+      requests, /*block=*/false,
+      config_.overflow == OverflowPolicy::Reject, refused);
+  // Hand the refused operands back so a Block-policy caller can park
+  // the same frames for retry without a defensive copy.
+  for (std::size_t k = first_refused; k < refused.size(); ++k) {
+    Request& request = requests[refused[k]];
+    ops[refused[k]] = {std::move(request.a), std::move(request.b)};
+  }
+  return result;
+}
+
+AdderService::BulkResult AdderService::push_routed(
+    std::vector<Request>& requests, bool block, bool count_rejected,
+    std::vector<std::size_t>& refused) {
+  BulkResult result;
+  // Counted in before the push: a request may complete (and count
+  // itself out) before the push call returns.
+  inflight_.fetch_add(static_cast<long long>(requests.size()),
+                      std::memory_order_acq_rel);
+  // One bucket, one queue transaction.  Requests of one bucket share
+  // an arrival cycle, which is what lets dispatch aggregate their
+  // latency records into runs.  `origin` maps bucket positions back to
+  // request indices (null when the bucket is `requests` itself).
+  auto push_bucket = [&](std::size_t shard_index, std::vector<Request>& bucket,
+                         const std::vector<std::size_t>* origin) {
+    Shard& shard = *shards_[shard_index];
+    const long long arrival = shard.vclock.load(std::memory_order_relaxed);
+    for (auto& request : bucket) request.arrival_cycle = arrival;
+    const std::size_t taken = block ? shard.queue.push_many_block(bucket)
+                                    : shard.queue.try_push_many(bucket);
+    result.accepted += taken;
     if (shard.submitted != nullptr) {
       shard.submitted->increment(static_cast<long long>(taken));
     }
-    const std::size_t dropped_here = buckets[s].size() - taken;
-    if (dropped_here > 0) {
-      any_closed = any_closed || shard.queue.closed();
-      if (shard.rejected != nullptr) {
-        shard.rejected->increment(static_cast<long long>(dropped_here));
-      }
-      for (std::size_t j = taken; j < buckets[s].size(); ++j) {
-        futures[origin[s][j]].reset();
+    if (taken == bucket.size()) return;
+    const bool closed = shard.queue.closed();
+    result.closed = result.closed || closed;
+    if (count_rejected && !closed && shard.rejected != nullptr) {
+      shard.rejected->increment(static_cast<long long>(bucket.size() - taken));
+    }
+    for (std::size_t j = taken; j < bucket.size(); ++j) {
+      if (origin == nullptr) {
+        refused.push_back(j);
+      } else {
+        refused.push_back((*origin)[j]);
+        requests[(*origin)[j]] = std::move(bucket[j]);
       }
     }
+  };
+  const std::size_t n_shards = shards_.size();
+  if (n_shards == 1) {
+    push_bucket(0, requests, nullptr);
+  } else {
+    // Routing granularity: RoundRobin takes ONE ticket for the whole
+    // call (rotating whole chunks keeps the one-transaction batching
+    // win), Hash buckets request by request and pays one bulk push per
+    // non-empty bucket.  Hash routing also keeps net-server
+    // backpressure per shard: a retry of the same parked frame lands on
+    // the same (still-full) shard.
+    std::size_t chunk_shard = 0;
+    if (config_.route == RoutePolicy::RoundRobin) {
+      chunk_shard = static_cast<std::size_t>(
+          rr_next_.fetch_add(1, std::memory_order_relaxed) % n_shards);
+    }
+    std::vector<std::vector<Request>> buckets(n_shards);
+    std::vector<std::vector<std::size_t>> origin(n_shards);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::size_t s = config_.route == RoutePolicy::Hash
+                                ? route_of(requests[i].a, requests[i].b)
+                                : chunk_shard;
+      origin[s].push_back(i);
+      buckets[s].push_back(std::move(requests[i]));
+    }
+    const std::size_t first_refused = refused.size();
+    for (std::size_t s = 0; s < n_shards; ++s) {
+      if (!buckets[s].empty()) push_bucket(s, buckets[s], &origin[s]);
+    }
+    std::sort(refused.begin() + static_cast<std::ptrdiff_t>(first_refused),
+              refused.end());
   }
-  const auto dropped = static_cast<long long>(ops.size() - accepted);
+  const auto dropped =
+      static_cast<long long>(requests.size() - result.accepted);
   if (dropped > 0) {
     inflight_.fetch_sub(dropped, std::memory_order_acq_rel);
-    if (any_closed) {
-      throw std::runtime_error("AdderService: submit after close");
-    }
-    rejected_.increment(dropped);
+    if (count_rejected && !result.closed) rejected_.increment(dropped);
   }
-  submitted_.increment(static_cast<long long>(accepted));
-  // One submit instant per chunk (not per request): submit_many is the
-  // batched producer path, and the chunk is its unit of work.
-  if (accepted > 0 && trace::enabled() && trace::sample()) {
+  submitted_.increment(static_cast<long long>(result.accepted));
+  // One submit instant per call (not per request): the bulk paths'
+  // unit of work is the chunk.
+  if (result.accepted > 0 && trace::enabled() && trace::sample()) {
     trace::EventArgs args;
     args.k = config_.pipeline.window;
     trace::emit_instant(trace::EventName::kSubmit, args);
   }
-  return futures;
+  return result;
 }
 
 void AdderService::worker_loop(std::size_t shard_index) {
@@ -716,8 +723,8 @@ void AdderService::complete(Request& request, Completion completion) {
 }
 
 void AdderService::deliver(Request& request, Completion&& completion) {
-  if (request.callback) {
-    request.callback(std::move(completion));
+  if (request.sink != nullptr) {
+    request.sink->complete(request.sink_index, std::move(completion));
   } else {
     request.promise->set_value(std::move(completion));
   }

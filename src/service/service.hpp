@@ -53,10 +53,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -201,25 +201,43 @@ class AdderService {
       std::vector<std::pair<BitVec, BitVec>> ops);
 
   /// Completion delivery for callers that cannot block on a future —
-  /// the network front-end's event loops (src/net/server.cpp).  The
-  /// callback runs on whichever service thread completes the request
-  /// (dispatcher fast path or recovery lane), so it must be cheap and
-  /// must not call back into submit paths.
-  using CompletionCallback = std::function<void(Completion)>;
+  /// the network front-end's event loops (src/net/server.cpp).  One sink
+  /// serves a whole try_submit_many call: `complete` runs once per
+  /// accepted request, on whichever service thread completes it
+  /// (dispatcher fast path or recovery lane), with the request's index
+  /// in the submitted span.  It must be cheap and must not call back
+  /// into submit paths.  The sink must stay alive until its last
+  /// accepted request has completed.
+  class CompletionSink {
+   public:
+    virtual void complete(std::size_t index, Completion&& completion) = 0;
 
-  /// Non-blocking submit with callback completion: pushes with
+   protected:
+    ~CompletionSink() = default;
+  };
+
+  struct BulkResult {
+    std::size_t accepted = 0;
+    /// A refusal came from a closed queue (the service is shutting
+    /// down), not from a full one.
+    bool closed = false;
+  };
+
+  /// Non-blocking bulk submit with sink completion: pushes with
   /// try-semantics REGARDLESS of the overflow policy (an event loop can
-  /// never afford to block) and returns false when the queue is full —
-  /// the caller maps that onto its own backpressure currency (the net
-  /// server stops reading the socket under Block, sends a REJECTED
-  /// frame under Reject).  A false return is counted in
-  /// service.rejected only under Reject; under Block it is a stall, not
-  /// a rejection — and the operands are handed back through the rvalue
-  /// references untouched, so the caller can park the SAME frame for a
-  /// retry instead of copying operands defensively on every attempt.
-  /// Same throw conditions as submit().
-  bool try_submit_callback(BitVec&& a, BitVec&& b,
-                           CompletionCallback callback);
+  /// never afford to block), one queue transaction per shard bucket.
+  /// Every refused request's index is appended to `refused`, ascending,
+  /// and its operands are handed back in place in `ops` — the caller
+  /// maps refusals onto its own backpressure currency (the net server
+  /// parks the frames and stops reading the socket under Block, sends
+  /// REJECTED frames under Reject).  Refusals are counted in
+  /// service.rejected only under Reject; under Block they are a stall,
+  /// not a rejection.  Throws std::invalid_argument on a width
+  /// mismatch or more than 2^32 ops (before anything is pushed); after
+  /// close() everything is refused with `closed` set.
+  BulkResult try_submit_many(std::span<std::pair<BitVec, BitVec>> ops,
+                             CompletionSink& sink,
+                             std::vector<std::size_t>& refused);
 
   /// Pump mode only: dispatch at most one batch (plus its recovery
   /// work) on the calling thread.  Returns requests completed; 0 when
@@ -264,11 +282,13 @@ class AdderService {
     BitVec a, b;
     /// Engaged only on the future paths (submit/submit_many) — a
     /// default-constructed std::promise allocates its shared state, so
-    /// the callback path (one request per network frame) must not pay
-    /// for a promise it never reads.
+    /// the sink path (one request per network frame) must not pay for a
+    /// promise it never reads.
     std::optional<std::promise<Completion>> promise;
-    /// When set, completion is delivered here instead of the promise.
-    CompletionCallback callback;
+    /// When set, completion is delivered to sink->complete(sink_index)
+    /// instead of the promise (try_submit_many).
+    CompletionSink* sink = nullptr;
+    std::uint32_t sink_index = 0;
     long long arrival_cycle = 0;
     std::chrono::steady_clock::time_point arrival_time;
   };
@@ -329,8 +349,20 @@ class AdderService {
                        BoundedQueue<RecoveryItem>* recovery);
   void recover_one(RecoveryItem item);
   void complete(Request& request, Completion completion);
+  /// Route `requests` (submission order, arrival cycles unset) into
+  /// shard buckets, stamp each bucket's arrival cycle once, and push
+  /// every bucket in one queue transaction: push_many_block when
+  /// `block`, try_push_many otherwise.  Refused requests stay in
+  /// `requests` at their index (accepted ones are moved out) and their
+  /// indices are appended to `refused`, ascending.  Updates inflight_
+  /// and the submitted counters; rejections are counted only when
+  /// `count_rejected` and the refusing queue was not closed.  The
+  /// shared body of submit_many and try_submit_many.
+  BulkResult push_routed(std::vector<Request>& requests, bool block,
+                         bool count_rejected,
+                         std::vector<std::size_t>& refused);
   /// Hand the finished completion to whichever channel the request
-  /// carries (callback or promise).
+  /// carries (sink or promise).
   static void deliver(Request& request, Completion&& completion);
 
   ServiceConfig config_;

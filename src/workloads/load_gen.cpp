@@ -294,14 +294,21 @@ void run_connection(const NetLoadGenConfig& config, int index,
       // and the syscall rate, not the service, becomes the ceiling.
       if (client.outstanding() >=
           static_cast<std::size_t>(config.max_outstanding)) {
-        const auto low = static_cast<std::size_t>(
-            std::max(config.max_outstanding / 2, 1));
+        // Half of a window of 1 is 0: drain it completely.
+        const auto low =
+            static_cast<std::size_t>(config.max_outstanding / 2);
         while (client.outstanding() > low) {
           count_response(client.recv(), sent_at, e2e, stats);
         }
       }
       auto [a, b] = operands.next();
-      const auto t0 = Clock::now();
+      // A paced request is timed from when it was due, so a generator
+      // that falls behind its schedule (a full window, a slow server)
+      // counts the delay as latency instead of hiding it; Saturate has
+      // no schedule and times from the actual send.
+      const auto t0 = config.base.arrival == ArrivalProcess::Saturate
+                          ? Clock::now()
+                          : scheduled;
       const std::uint64_t id = client.send(a, b);
       sent_at.insert(id, t0, arrivals.in_burst());
       ++stats.offered;

@@ -108,7 +108,10 @@ struct NetLoadGenConfig {
   /// server batch deeply.
   int max_outstanding = 256;
   /// When set, client-observed end-to-end latency lands in histograms
-  /// here — `netclient.e2e_ns` (aggregate), `netclient.e2e_steady_ns`,
+  /// here, timed from when a paced (Poisson/Bursty) request was due —
+  /// so a generator that falls behind its schedule reports the delay —
+  /// and from the actual send under Saturate: `netclient.e2e_ns`
+  /// (aggregate), `netclient.e2e_steady_ns`,
   /// and, for Bursty arrivals, `netclient.e2e_burst_ns` (phase decided
   /// at send time) — and outcomes in `netclient.{ok,rejected,error}`
   /// counters.  Must outlive the call.

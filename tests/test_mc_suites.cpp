@@ -20,6 +20,7 @@
 
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -174,6 +175,63 @@ TEST(McQueue, LingerCollectsLateArrivals) {
       },
       o);
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
+}
+
+// The event loop's bulk hand-off: try_push_many moves the prefix that
+// fits under one lock and hands the refused suffix back; the producer
+// retries the suffix plus one more item, then closes.  Against a
+// lingering consumer: every accepted item arrives exactly once and in
+// push order, nothing refused ever arrives, and pop_batch reports the
+// shutdown (returns 0) only once the queue is closed AND empty.
+TEST(McQueue, BulkTryPushRacesLingeringPopAndClose) {
+  mc::Options o;
+  o.preemption_bound = -1;  // ~200 schedules: explore them all
+  o.max_schedules = 20000;
+  const mc::Result r = mc::explore(
+      [] {
+        McQueueT q(2);
+        std::vector<int> accepted;
+        mc::Thread p([&] {
+          std::vector<int> items{1, 2, 3};
+          const std::size_t first = q.try_push_many(items);
+          MC_ASSERT(first <= 2);
+          accepted.assign(items.begin(),
+                          items.begin() + static_cast<std::ptrdiff_t>(first));
+          // The refused suffix came back untouched; retry it with one
+          // more item appended.
+          std::vector<int> rest(
+              items.begin() + static_cast<std::ptrdiff_t>(first), items.end());
+          rest.push_back(4);
+          const std::size_t second = q.try_push_many(rest);
+          accepted.insert(accepted.end(), rest.begin(),
+                          rest.begin() + static_cast<std::ptrdiff_t>(second));
+          q.close();
+          std::vector<int> late{5};
+          MC_ASSERT(q.try_push_many(late) == 0);  // closed: nothing enters
+          MC_ASSERT(late[0] == 5);
+        });
+        std::vector<int> seen;
+        std::vector<int> out;
+        for (;;) {
+          out.clear();
+          const std::size_t n =
+              q.pop_batch(out, 2, std::chrono::microseconds(1000));
+          MC_ASSERT(n == out.size());
+          if (n == 0) break;  // shutdown signal
+          seen.insert(seen.end(), out.begin(), out.end());
+        }
+        // The exit is closed-and-empty, evaluated under the queue lock.
+        MC_ASSERT(q.closed());
+        MC_ASSERT(q.size() == 0);
+        p.join();
+        // No loss, no duplicates, FIFO: exactly the accepted items, in
+        // the order they were pushed.
+        MC_ASSERT(seen == accepted);
+      },
+      o);
+  EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
+  EXPECT_FALSE(r.budget_exhausted);
+  EXPECT_GT(r.schedules, 100u);
 }
 
 // The acceptance configuration: 2 producers, 2 consumers, capacity 1.
@@ -580,6 +638,28 @@ TEST(McMutant, QueueLostCloseWakeupDeadlocks) {
   const mc::Result r = mc::explore_iterative(body, 2, o);
   expect_replayable_failure(body, r, o);
   EXPECT_NE(r.message.find("deadlock"), std::string::npos) << r.message;
+}
+
+// Mutant 3b: delete try_push_many's not_empty wake — a consumer that
+// went to sleep on the empty queue never learns a bulk push filled it.
+TEST(McMutant, QueueLostBulkPushWakeupDeadlocks) {
+  auto body = [] {
+    McQueueT q(4);
+    mc::Thread p([&] {
+      std::vector<int> items{7, 8};
+      MC_ASSERT(q.try_push_many(items) == 2);
+    });
+    std::vector<int> out;
+    while (out.size() < 2) (void)q.pop_batch(out, 2, kNoLinger);
+    p.join();
+    MC_ASSERT(out[0] == 7 && out[1] == 8);
+  };
+  mc::Options o;
+  o.suppress_notify_cv = 0;  // not_empty_
+  const mc::Result r = mc::explore_iterative(body, 2, o);
+  expect_replayable_failure(body, r, o);
+  EXPECT_NE(r.message.find("deadlock"), std::string::npos) << r.message;
+  EXPECT_NE(r.message.find("cv-wait"), std::string::npos) << r.message;
 }
 
 // Mutant 4: skip the ring writer's busy-mark release fence (the hook

@@ -33,6 +33,7 @@
 #include "trace/trace.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
+#include "workloads/load_gen.hpp"
 #include "workloads/operand_stream.hpp"
 
 namespace vlsa {
@@ -449,7 +450,7 @@ TEST(NetLoopback, PipelinedUnderBlockPolicyNothingDropped) {
 TEST(NetLoopback, ShardedServiceServesPipelinedTraffic) {
   // `vlsa_tool serve --shards 4` end-to-end in miniature: the net
   // front-end needs no sharding knowledge (hash routing hides behind
-  // try_submit_callback), per-shard Block backpressure stalls the
+  // try_submit_many), per-shard Block backpressure stalls the
   // socket exactly like the single-queue service, and afterwards the
   // per-shard labeled counters must account for every frame exactly
   // once.
@@ -544,6 +545,89 @@ TEST(NetLoopback, RejectPolicyAnswersRejectedFrames) {
   }
 }
 
+long long counter_of(const AdderService& service, const std::string& name) {
+  for (const auto& [key, value] : service.registry().snapshot().counters) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+// One 64-frame burst in a single write against a 4-deep queue: the
+// bulk push can take at most a few frames, so the rest of the SAME
+// burst is refused.  Returns the responses by id (index 0 unused).
+std::vector<ResponseFrame> one_burst_against_tiny_queue(
+    AdderService& service, std::vector<BitVec>& sums) {
+  const int width = service.config().pipeline.width;
+  net::Server server(net::ServerConfig{}, service);
+  net::Client client("127.0.0.1", server.port());
+  util::Rng rng(0xb0b5);
+  constexpr int kFrames = 64;
+  client.cork(true);
+  for (int i = 0; i < kFrames; ++i) {
+    const BitVec a = random_vec(rng, width);
+    const BitVec b = random_vec(rng, width);
+    sums.push_back(a + b);
+    client.send(a, b);
+  }
+  client.flush();  // one write(2): one burst on the server
+  std::vector<ResponseFrame> by_id(kFrames + 1);
+  std::vector<int> answered(kFrames + 1, 0);
+  while (client.outstanding() > 0) {
+    ResponseFrame response = client.recv();
+    EXPECT_GE(response.id, 1u);
+    EXPECT_LE(response.id, static_cast<std::uint64_t>(kFrames));
+    if (response.id < 1 || response.id > kFrames) continue;
+    ++answered[response.id];
+    by_id[response.id] = std::move(response);
+  }
+  for (int id = 1; id <= kFrames; ++id) {
+    EXPECT_EQ(answered[static_cast<std::size_t>(id)], 1) << "id " << id;
+  }
+  return by_id;
+}
+
+TEST(NetLoopback, PartiallyAcceptedBurstParksTheRestUnderBlock) {
+  const int width = 64, window = 8;
+  AdderService service(
+      service_config(width, window, OverflowPolicy::Block, /*capacity=*/4));
+  std::vector<BitVec> sums;
+  const auto by_id = one_burst_against_tiny_queue(service, sums);
+  for (std::size_t id = 1; id < by_id.size(); ++id) {
+    ASSERT_EQ(by_id[id].status, Status::Ok) << "id " << id;
+    EXPECT_EQ(by_id[id].sum, sums[id - 1]) << "id " << id;
+  }
+  // The refused frames parked and the socket stopped being read; Block
+  // never turns a stall into a rejection.
+  EXPECT_GT(counter_of(service, "net.read_stalls"), 0);
+  EXPECT_EQ(counter_of(service, "net.frames_rejected"), 0);
+  EXPECT_EQ(counter_of(service, "service.rejected"), 0);
+  EXPECT_EQ(counter_of(service, "service.submitted"), 64);
+}
+
+TEST(NetLoopback, PartiallyAcceptedBurstRejectsExactlyTheRefused) {
+  const int width = 64, window = 8;
+  AdderService service(
+      service_config(width, window, OverflowPolicy::Reject, /*capacity=*/4));
+  std::vector<BitVec> sums;
+  const auto by_id = one_burst_against_tiny_queue(service, sums);
+  long long ok = 0, rejected = 0;
+  for (std::size_t id = 1; id < by_id.size(); ++id) {
+    if (by_id[id].status == Status::Rejected) {
+      ++rejected;
+      continue;
+    }
+    ASSERT_EQ(by_id[id].status, Status::Ok) << "id " << id;
+    EXPECT_EQ(by_id[id].sum, sums[id - 1]) << "id " << id;
+    ++ok;
+  }
+  const long long accepted = counter_of(service, "service.submitted");
+  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(ok, accepted);
+  EXPECT_EQ(rejected, 64 - accepted);
+  EXPECT_EQ(counter_of(service, "net.frames_rejected"), rejected);
+  EXPECT_EQ(counter_of(service, "service.rejected"), rejected);
+}
+
 TEST(NetLoopback, RecoveryTrafficCarriesTheFlag) {
   // Complementary operands (b ≈ ~a) make nearly every addition
   // propagate across the window — the adversarial traffic the ER flag
@@ -621,6 +705,34 @@ TEST(NetLoopback, GarbageBytesCloseTheConnection) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(NetLoadGen, PacedRequestsAreTimedFromTheirDueTime) {
+  // One connection with one request in flight, offered far faster than
+  // one round trip allows: the generator falls further behind with
+  // every request, and the latency it reports must include that lag.
+  // Timed from the actual send, the max would read about one RTT.
+  AdderService service(service_config(64, 8, OverflowPolicy::Block));
+  net::Server server(net::ServerConfig{}, service);
+  telemetry::Registry registry;
+  workloads::NetLoadGenConfig config;
+  config.port = server.port();
+  config.width = 64;
+  config.connections = 1;
+  config.max_outstanding = 1;
+  config.base.arrival = workloads::ArrivalProcess::Poisson;
+  config.base.rate_per_sec = 1e7;  // whole schedule due within ~0.2 ms
+  config.base.requests = 2000;
+  config.registry = &registry;
+  const auto report = workloads::run_load_gen_net(config);
+  EXPECT_EQ(report.ok, 2000);
+  std::uint64_t e2e_max = 0;
+  for (const auto& h : registry.snapshot().histograms) {
+    if (h.name == "netclient.e2e_ns") e2e_max = h.max;
+  }
+  EXPECT_GE(static_cast<double>(e2e_max), 0.5 * report.seconds * 1e9)
+      << "e2e max " << e2e_max << " ns over a " << report.seconds
+      << " s run";
 }
 
 TEST(NetLoopback, GracefulShutdownDrainsOutstanding) {

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -457,22 +458,41 @@ TEST(ServiceSharded, PerShardCompletionOrderIsFifoNoLossNoDup) {
   config.record_wall_time = false;
   telemetry::Registry registry;
   AdderService service(config, &registry);
+  // The event-loop path: bulk try-submits of 50 with one sink each;
+  // the sink maps the completed index back to the global request id.
+  struct Recorder final : AdderService::CompletionSink {
+    Recorder(std::mutex& m, std::array<std::vector<int>, 4>& c, int b)
+        : mutex(m), completed(c), base(b) {}
+    void complete(std::size_t index, Completion&& c) override {
+      std::lock_guard<std::mutex> lock(mutex);
+      completed[static_cast<std::size_t>(c.shard)].push_back(
+          base + static_cast<int>(index));
+    }
+    std::mutex& mutex;
+    std::array<std::vector<int>, 4>& completed;
+    const int base;
+  };
   std::mutex mutex;
   std::array<std::vector<int>, 4> completed;
   std::array<std::vector<int>, 4> expected;
   workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
                                   0xf1f0);
   constexpr int kRequests = 4000;
-  for (int i = 0; i < kRequests; ++i) {
-    auto [a, b] = stream.next();
-    const auto shard = service.route_of(a, b);
-    expected[shard].push_back(i);
-    const bool ok = service.try_submit_callback(
-        std::move(a), std::move(b), [&mutex, &completed, i](Completion c) {
-          std::lock_guard<std::mutex> lock(mutex);
-          completed[static_cast<std::size_t>(c.shard)].push_back(i);
-        });
-    ASSERT_TRUE(ok) << "backpressure below capacity at " << i;
+  constexpr int kChunk = 50;
+  std::vector<std::unique_ptr<Recorder>> sinks;
+  for (int base = 0; base < kRequests; base += kChunk) {
+    std::vector<std::pair<BitVec, BitVec>> ops;
+    for (int i = base; i < base + kChunk; ++i) {
+      auto [a, b] = stream.next();
+      expected[service.route_of(a, b)].push_back(i);
+      ops.emplace_back(std::move(a), std::move(b));
+    }
+    sinks.push_back(std::make_unique<Recorder>(mutex, completed, base));
+    std::vector<std::size_t> refused;
+    const auto result = service.try_submit_many(ops, *sinks.back(), refused);
+    ASSERT_EQ(result.accepted, static_cast<std::size_t>(kChunk))
+        << "backpressure below capacity at " << base;
+    ASSERT_TRUE(refused.empty());
   }
   service.flush();
   std::lock_guard<std::mutex> lock(mutex);
