@@ -56,6 +56,21 @@ inline std::ofstream open_bench_json(const std::string& name) {
   return out;
 }
 
+/// The host CPU's model name ("model name" in /proc/cpuinfo), or
+/// "unknown" where that file does not exist.
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
 /// Provenance block for the sidecars: which commit and build type
 /// produced the numbers, and how parallel the machine was — without
 /// these, cross-PR trajectory diffs compare apples to oranges.  Call
@@ -70,6 +85,7 @@ inline void write_provenance(util::JsonWriter& json) {
   // Throughput numbers are incomparable across tiers without these.
   json.kv("isa", sim::isa_name(sim::active_isa()));
   json.kv("engine_lanes", sim::active_lanes());
+  json.kv("cpu_model", cpu_model());
   json.end_object();
 }
 

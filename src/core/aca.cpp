@@ -1,5 +1,6 @@
 #include "core/aca.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "analysis/aca_probability.hpp"
@@ -76,6 +77,60 @@ AcaResult aca_sub(const BitVec& a, const BitVec& b, int k) {
 bool aca_flag(const BitVec& a, const BitVec& b, int k) {
   check_args(a, b, k);
   return (a ^ b).longest_one_run() >= k;
+}
+
+AcaEval aca_eval_limbs(std::span<const std::uint64_t> a,
+                       std::span<const std::uint64_t> b, int width, int k,
+                       std::span<std::uint64_t> sum,
+                       std::span<std::uint64_t> scratch) {
+  if (width < 1) throw std::invalid_argument("aca_eval_limbs: width < 1");
+  if (k < 1) throw std::invalid_argument("aca_eval_limbs: window < 1");
+  const std::size_t limbs = (static_cast<std::size_t>(width) + 63) / 64;
+  if (a.size() != limbs || b.size() != limbs || sum.size() != limbs ||
+      scratch.size() != limbs) {
+    throw std::invalid_argument("aca_eval_limbs: limb count mismatch");
+  }
+  const std::uint64_t top_mask =
+      width % 64 == 0 ? ~std::uint64_t{0}
+                      : (std::uint64_t{1} << (width % 64)) - 1;
+  std::uint64_t* runs = scratch.data();  // p, then the run-start mask S
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < limbs; ++i) {
+    const std::uint64_t partial = a[i] + b[i];
+    const std::uint64_t total = partial + carry;
+    carry = static_cast<std::uint64_t>(partial < a[i]) |
+            static_cast<std::uint64_t>(total < partial);
+    sum[i] = total;
+    runs[i] = a[i] ^ b[i];
+  }
+  sum[limbs - 1] &= top_mask;
+  runs[limbs - 1] &= top_mask;
+  // S_t[j] covers p[j .. j+t-1]; S_{t+s} = S_t & (S_t >> s) for s <= t.
+  // Shifting in place is safe low limb first: limb i reads limbs >= i.
+  // A pass that leaves no bit set ends the search (the common case).
+  for (int t = 1; t < k;) {
+    const int shift = std::min(t, k - t);
+    const auto skip = static_cast<std::size_t>(shift / 64);
+    const int bits = shift % 64;
+    std::uint64_t alive = 0;
+    for (std::size_t i = 0; i < limbs; ++i) {
+      const std::uint64_t lo = i + skip < limbs ? runs[i + skip] : 0;
+      const std::uint64_t hi = i + skip + 1 < limbs ? runs[i + skip + 1] : 0;
+      const std::uint64_t shifted =
+          bits == 0 ? lo : (lo >> bits) | (hi << (64 - bits));
+      runs[i] &= shifted;
+      alive |= runs[i];
+    }
+    if (alive == 0) return {};
+    t += shift;
+  }
+  // sum ^ p is the exact carry into each bit.
+  std::uint64_t flagged = 0, wrong = 0;
+  for (std::size_t i = 0; i < limbs; ++i) {
+    flagged |= runs[i];
+    wrong |= runs[i] & (sum[i] ^ a[i] ^ b[i]);
+  }
+  return {flagged != 0, wrong != 0};
 }
 
 bool aca_is_exact(const BitVec& a, const BitVec& b, int k) {

@@ -16,6 +16,8 @@
 // workload.
 
 #include <atomic>
+#include <cstdint>
+#include <span>
 
 #include "util/bitvec.hpp"
 
@@ -44,6 +46,28 @@ AcaResult aca_sub(const BitVec& a, const BitVec& b, int k);
 /// contain a propagate chain of length >= k.  ER == false guarantees
 /// `aca_add(a, b, k).sum == a + b` (tested property).
 bool aca_flag(const BitVec& a, const BitVec& b, int k);
+
+/// The three per-request facts of one row-wise evaluation.
+struct AcaEval {
+  bool flagged = false;            ///< ER, as aca_flag
+  bool speculative_wrong = false;  ///< aca_add's sum or carry out is wrong
+};
+
+/// Allocation-free row-wise ACA(width, k) over 64-bit limbs (the
+/// serving path's evaluator).  `a`, `b`, `sum` and `scratch` each hold
+/// ceil(width / 64) limbs; bits of `a`/`b` at and above `width` must be
+/// zero (the BitVec invariant).  Writes the exact sum mod 2^width into
+/// `sum`, clobbers `scratch`, and returns what aca_add(a, b, k) would
+/// report: its ER flag, and whether its sum or carry out differs from
+/// the exact one.  A k-window errs exactly when it is all-propagate and
+/// the exact carry into it is 1 — an all-propagate window speculates
+/// carry 0 while its true carry out equals its carry in — so with
+/// S[j] = p[j] & ... & p[j+k-1] (p = a ^ b, built in ceil(log2 k)
+/// shift-and passes), ER = any(S) and wrong = any(S & (sum ^ p)).
+AcaEval aca_eval_limbs(std::span<const std::uint64_t> a,
+                       std::span<const std::uint64_t> b, int width, int k,
+                       std::span<std::uint64_t> sum,
+                       std::span<std::uint64_t> scratch);
 
 /// Convenience: does ACA(n, k) return the exact sum for these operands?
 bool aca_is_exact(const BitVec& a, const BitVec& b, int k);

@@ -1,8 +1,9 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <bitset>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 #endif
 
 #include "core/aca.hpp"
+#include "sim/batch_engine.hpp"
 #include "trace/drift.hpp"
 #include "trace/postmortem.hpp"
 #include "trace/trace.hpp"
@@ -409,7 +411,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
   const auto max_batch = static_cast<std::size_t>(config_.max_batch);
   std::vector<Request> batch;
   batch.reserve(max_batch);
-  sim::WideResult scratch;
+  std::vector<std::uint64_t> scratch;
   const bool steal =
       config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
   if (!steal) {
@@ -477,15 +479,11 @@ void AdderService::recovery_loop(Shard& shard) {
 }
 
 std::size_t AdderService::dispatch(std::vector<Request>& batch,
-                                   sim::WideResult& scratch, Shard& shard,
-                                   std::size_t shard_index, bool stolen,
+                                   std::vector<std::uint64_t>& scratch,
+                                   Shard& shard, std::size_t shard_index,
+                                   bool stolen,
                                    BoundedQueue<RecoveryItem>* recovery) {
-  const int width = config_.pipeline.width;
   const int window = config_.pipeline.window;
-  // Evaluate at the smallest lane count that fits this batch: a
-  // partial pop (or the batch-1 baseline) keeps the 64-lane cost, a
-  // full SIMD-width pop runs one AVX2/AVX-512 evaluation.
-  const int lanes = sim::lanes_for_batch(static_cast<int>(batch.size()));
   // One modeled cycle per dispatched batch on THIS shard's clock —
   // each shard models an independent VLSA functional unit, so N shards
   // advance N clocks in parallel and the makespan (now_cycles(), the
@@ -505,38 +503,40 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   const bool trace_recovery = sampled || (tracing && trace::sample_recovery());
   const auto batch_id = static_cast<std::uint64_t>(round);
 
-  // Operands are *moved* into the transpose input — the fast path never
-  // needs them again, and the rare flagged lane takes its pair back
-  // below before heading to the recovery lane.
-  const std::uint64_t t_pack = sampled ? trace::now_ns() : 0;
-  std::vector<std::pair<BitVec, BitVec>> pairs;
-  pairs.reserve(batch.size());
-  for (auto& request : batch) {
-    pairs.emplace_back(std::move(request.a), std::move(request.b));
+  // Row-wise evaluation, request by request over the operand limbs.  An
+  // unflagged request's exact sum overwrites its `a` limbs (the fast
+  // path needs the operands no longer); a flagged one keeps both
+  // operands for the recovery lane and the postmortem.  Flags are
+  // collected first so the drift monitor sees the batch before any of
+  // its requests can complete.
+  const std::size_t limbs = batch.front().a.limbs().size();
+  scratch.resize(2 * limbs);
+  const std::span<std::uint64_t> sum(scratch.data(), limbs);
+  const std::span<std::uint64_t> runs(scratch.data() + limbs, limbs);
+  const std::uint64_t t_eval = sampled ? trace::now_ns() : 0;
+  std::bitset<sim::kMaxBatchLanes> flagged, wrong;
+  for (std::size_t lane = 0; lane < batch.size(); ++lane) {
+    std::vector<std::uint64_t>& a = batch[lane].a.limbs();
+    const core::AcaEval eval = core::aca_eval_limbs(
+        a, batch[lane].b.limbs(), config_.pipeline.width, window, sum, runs);
+    if (eval.flagged) {
+      flagged.set(lane);
+      wrong[lane] = eval.speculative_wrong;
+    } else {
+      std::copy(sum.begin(), sum.end(), a.begin());
+    }
   }
-  const sim::WideBatch ops = sim::wide_transpose_batch(pairs, width, lanes);
   if (sampled) {
     trace::EventArgs args;
     args.batch = batch_id;
     args.k = window;
     args.lane = static_cast<int>(batch.size());  // occupancy, not a lane
     args.shard = trace_shard;
-    trace::emit_complete(trace::EventName::kBatchPack, t_pack, args);
-  }
-  const std::uint64_t t_eval = sampled ? trace::now_ns() : 0;
-  sim::wide_aca_add_into(ops, window, nullptr, scratch);
-  if (sampled) {
-    trace::EventArgs args;
-    args.batch = batch_id;
-    args.k = window;
-    args.shard = trace_shard;
     trace::emit_complete(trace::EventName::kEngineEval, t_eval, args);
   }
 
   if (config_.drift != nullptr) {
-    config_.drift->record_batch(
-        batch.size(), static_cast<std::uint64_t>(scratch.flagged_count(
-                          static_cast<int>(batch.size()))));
+    config_.drift->record_batch(batch.size(), flagged.count());
   }
 
   batches_.increment();
@@ -546,14 +546,6 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   }
   batch_occupancy_.record(batch.size());
 
-  // One word-level un-transpose for the whole batch instead of a
-  // bit-at-a-time wide_lane_value() per request; tiny batches (the
-  // batch-1 baseline) extract their few lanes directly instead of paying
-  // for all 64.
-  std::vector<BitVec> sums;
-  if (batch.size() > 8) {
-    sums = sim::wide_lane_values(scratch.sum_spec, width, lanes);
-  }
   // Fast-path telemetry is aggregated over the batch: requests that
   // arrived in the same cycle (every submit_many chunk) share one
   // latency, so runs collapse into one record_n and the counters into
@@ -563,16 +555,10 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   std::uint64_t run_value = 0, run_count = 0;
   for (std::size_t lane = 0; lane < batch.size(); ++lane) {
     Request& request = batch[lane];
-    const bool flagged = scratch.flagged_lane(static_cast<int>(lane));
-    const bool wrong = scratch.wrong_lane(static_cast<int>(lane));
-    if (!flagged) {
+    if (!flagged[lane]) {
       // Soundness: ER clear implies the speculative sum is exact.
       Completion completion;
-      completion.sum =
-          sums.empty()
-              ? sim::wide_lane_value(scratch.sum_spec, width, lanes / 64,
-                                     static_cast<int>(lane))
-              : std::move(sums[lane]);
+      completion.sum = std::move(request.a);
       completion.shard = static_cast<int>(shard_index);
       // Clamped at the 1-cycle floor: a STOLEN request was stamped
       // against its home shard's clock but completes on the thief's,
@@ -615,7 +601,7 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
       continue;
     }
     RecoveryItem item;
-    item.speculative_wrong = wrong;
+    item.speculative_wrong = wrong[lane];
     item.batch = batch_id;
     item.lane = static_cast<int>(lane);
     item.shard = static_cast<int>(shard_index);
@@ -645,8 +631,6 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
       item.latency_cycles = std::max<long long>(
           1, shard.recovery_free_at - request.arrival_cycle);
     }
-    request.a = std::move(pairs[lane].first);
-    request.b = std::move(pairs[lane].second);
     item.request = std::move(request);
     if (recovery != nullptr) {
       recovery->push_block(std::move(item));
@@ -735,7 +719,7 @@ std::size_t AdderService::pump() {
     throw std::logic_error("AdderService::pump: only valid with workers=0");
   }
   std::vector<Request> batch;
-  sim::WideResult scratch;
+  std::vector<std::uint64_t> scratch;
   const std::size_t n_shards = shards_.size();
   // Rotate so no shard starves when several hold work; pump mode is
   // single-threaded by contract, so plain member state suffices.

@@ -1,19 +1,20 @@
 #pragma once
 // AdderService — arithmetic as a service: a concurrent request server
-// over the bit-sliced batch engine (sim/batch_engine.hpp).
+// over the row-wise ACA evaluator (core::aca_eval_limbs).
 //
 // The paper's processor sketch (Sec. 5) treats the VLSA as a shared
 // functional unit: many in-flight additions, almost all answered in one
 // cycle, the rare ER flag paying a recovery penalty.  This layer is the
 // system-scale version of that argument.  Producers submit operand
-// pairs into a bounded MPMC queue; dispatcher workers pop up to the
-// detected SIMD lane width of outstanding requests (64/256/512 — see
-// sim/isa.hpp; a partial batch after `max_linger`), evaluate them in
-// ONE `wide_aca_add_into` call, and complete the unflagged majority
-// immediately — soundness (`wrong & ~flagged == 0`, tested in
-// tests/test_batch_engine.cpp) guarantees the fast path returns the
-// exact sum.  Flagged requests detour through a serial *recovery lane*
-// that recomputes the exact sum and models
+// pairs into a bounded MPMC queue; dispatcher workers pop up to
+// `max_batch` outstanding requests (by default the detected SIMD lane
+// width, 64/256/512 — see sim/isa.hpp; a partial batch after
+// `max_linger`) and evaluate each one over its 64-bit limbs: the exact
+// sum, the ER flag and `speculative_wrong`, with no transpose.  The
+// unflagged majority completes immediately with the exact sum —
+// soundness (ER clear implies the ACA sum is exact, tested in
+// tests/test_aca.cpp) makes that the one-cycle answer.  Flagged requests detour through a serial *recovery
+// lane* that recomputes the exact sum and models
 // `PipelineConfig::recovery_cycles` of extra service time per request,
 // so adversarial traffic (long propagate chains) visibly congests the
 // tail instead of averaging away.
@@ -61,7 +62,6 @@
 #include <vector>
 
 #include "service/bounded_queue.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/vlsa_pipeline.hpp"
 #include "telemetry/registry.hpp"
 #include "util/bitvec.hpp"
@@ -127,13 +127,11 @@ struct ServiceConfig {
   /// hardware_concurrency).  Linux-only; a no-op elsewhere and off by
   /// default — pinning helps dedicated hosts and hurts shared ones.
   bool pin_threads = false;
-  /// Requests packed per batch-engine evaluation, in
-  /// [1, sim::active_lanes()].  0 (the default) packs to the detected
+  /// Requests popped per dispatch (one modeled cycle), in
+  /// [1, sim::active_lanes()].  0 (the default) batches to the detected
   /// SIMD lane width (64 scalar, 256 AVX2, 512 AVX-512 — or whatever
   /// VLSA_FORCE_ISA pins).  1 gives the no-batching baseline the
-  /// throughput bench compares against.  Each dispatch still evaluates
-  /// at the smallest lane count that fits the batch it actually popped
-  /// (sim::lanes_for_batch), so small batches keep the 64-lane cost.
+  /// throughput bench compares against.
   int max_batch = 0;
   /// Submission queue bound, PER SHARD — the backpressure knob.
   std::size_t queue_capacity = 1024;
@@ -191,12 +189,12 @@ class AdderService {
   std::optional<std::future<Completion>> submit(BitVec a, BitVec b);
 
   /// Submit a batch of additions in one queue transaction — the
-  /// producer-side mirror of the dispatcher's 64-wide batching, and the
-  /// way to saturate the service (per-submission locking caps a
-  /// producer long before the batch engine does).  Element i of the
-  /// result corresponds to ops[i]; std::nullopt marks a rejected
-  /// request (Reject policy or pump mode with a full queue — under
-  /// Block everything is accepted).  Same throw conditions as submit().
+  /// producer-side mirror of the dispatcher's batching, and the way to
+  /// saturate the service (per-submission locking caps a producer long
+  /// before the evaluator does).  Element i of the result corresponds
+  /// to ops[i]; std::nullopt marks a rejected request (Reject policy or
+  /// pump mode with a full queue — under Block everything is
+  /// accepted).  Same throw conditions as submit().
   std::vector<std::optional<std::future<Completion>>> submit_many(
       std::vector<std::pair<BitVec, BitVec>> ops);
 
@@ -339,12 +337,13 @@ class AdderService {
   /// Pick the shard for a submission (Hash mixes the operand low limbs;
   /// RoundRobin takes a ticket from rr_next_).
   std::size_t pick_shard(const BitVec& a, const BitVec& b);
-  /// Evaluate one batch on `shard`'s engine; flagged lanes go to
+  /// Evaluate one batch on `shard` (`scratch` is the evaluator's limb
+  /// buffer, reused across batches); flagged requests go to
   /// `recovery` (worker mode) or are recovered inline when
   /// `recovery == nullptr` (pump mode).  `stolen` marks a batch the
   /// executing worker took from a neighbor's queue.
   std::size_t dispatch(std::vector<Request>& batch,
-                       sim::WideResult& scratch, Shard& shard,
+                       std::vector<std::uint64_t>& scratch, Shard& shard,
                        std::size_t shard_index, bool stolen,
                        BoundedQueue<RecoveryItem>* recovery);
   void recover_one(RecoveryItem item);

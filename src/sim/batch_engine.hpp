@@ -25,7 +25,6 @@
 // the carry-in path and the subtraction path (exhaustively at width 8),
 // and every SIMD tier bit-identical to the scalar one.
 
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -39,8 +38,7 @@ namespace vlsa::sim {
 /// Widest batch any kernel tier produces (AVX-512: 8 words x 64).
 inline constexpr int kMaxBatchLanes = 512;
 
-/// Smallest supported lane count that fits `count` requests — the
-/// service uses this so small batches keep the 64-lane cost.
+/// Smallest supported lane count that fits `count` operand pairs.
 [[nodiscard]] constexpr int lanes_for_batch(int count) {
   if (count <= 64) return 64;
   if (count <= 256) return 256;
@@ -85,17 +83,6 @@ struct WideResult {
   [[nodiscard]] bool wrong_lane(int lane) const {
     return ((wrong[static_cast<std::size_t>(lane >> 6)] >> (lane & 63)) &
             1) != 0;
-  }
-  /// Flagged lanes among the first `used_lanes`.
-  [[nodiscard]] int flagged_count(int used_lanes) const {
-    int count = 0;
-    for (int w = 0; w * 64 < used_lanes; ++w) {
-      std::uint64_t m = flagged[static_cast<std::size_t>(w)];
-      const int rem = used_lanes - w * 64;
-      if (rem < 64) m &= (std::uint64_t{1} << rem) - 1;
-      count += std::popcount(m);
-    }
-    return count;
   }
 };
 

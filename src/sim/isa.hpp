@@ -43,11 +43,10 @@ enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 
 /// Preferred supported tier on this machine/build.  NOT simply the
 /// widest: AVX2 is preferred over AVX-512 even when both are supported,
-/// because measured batch throughput at service widths is HIGHER on
-/// AVX2 (BENCH_simd.json: 1.807x vs 1.755x over scalar at width 1024 —
-/// 512-bit execution downclocks the core and the wider lanes do not
-/// earn the frequency loss back; see docs/benchmarks.md).  Set
-/// VLSA_FORCE_ISA=avx512 to opt back in on parts where it wins.
+/// on a measurement of the service's former transposed path (1.807x vs
+/// 1.755x over scalar at width 1024).  The engine measured alone
+/// (BENCH_simd.json) now favors AVX-512; docs/benchmarks.md records
+/// both.  Set VLSA_FORCE_ISA=avx512 to opt in.
 [[nodiscard]] Isa best_isa();
 
 /// The process-wide tier: best_isa(), unless VLSA_FORCE_ISA names

@@ -7,12 +7,12 @@
 // the telemetry layer (src/telemetry/) already shows its shape — but a
 // histogram cannot answer "why was THIS request slow?".  The tracer
 // answers it: every stage of the request path (submit → queue-wait →
-// batch-pack → engine-eval → ER-check → recovery → complete) emits a
-// typed event carrying the batch id, lane index, window k, and the ER
-// flag, so a Perfetto timeline shows exactly which batch a request rode,
-// whether its lane flagged, and how long the serial recovery lane held
-// it.  Recovery spans additionally carry the operands (low 64 bits) and
-// the actual longest activated propagate-chain length — the ground truth
+// engine-eval → ER-check → recovery → complete) emits a typed event
+// carrying the batch id, lane index, window k, and the ER flag, so a
+// Perfetto timeline shows exactly which batch a request rode, whether
+// its lane flagged, and how long the serial recovery lane held it.
+// Recovery spans additionally carry the operands (low 64 bits) and the
+// actual longest activated propagate-chain length — the ground truth
 // the drift monitor (trace/drift.hpp) checks statistically.
 //
 // Design constraints, in order:
@@ -32,7 +32,7 @@
 //     and discards torn slots; it may run while writers are live.
 //
 // Sampling: `TraceConfig::sample_rate` gates the *detail* events
-// (submit / queue-wait / batch-pack / engine-eval / complete) — the
+// (submit / queue-wait / engine-eval / complete) — the
 // service decides once per batch.  Recovery-path events (er-check /
 // recovery) are always recorded while a session is active
 // (`always_sample_recovery`), because mispredictions are the rare,
@@ -90,8 +90,9 @@ namespace vlsa::trace {
 enum class EventName : std::uint8_t {
   kSubmit = 0,     ///< instant: producer handed a request to the queue
   kQueueWait = 1,  ///< span: arrival → dispatcher pop (needs wall clock)
-  kBatchPack = 2,  ///< span: operand transpose into the sliced batch
-  kEngineEval = 3, ///< span: one wide_aca_add_into evaluation
+  // 2 was kBatchPack (an operand transpose the service no longer does);
+  // it stays unused so every other name keeps its encoded value.
+  kEngineEval = 3, ///< span: one batch's row-wise evaluation
   kErCheck = 4,    ///< instant: a lane's ER flag fired
   kRecovery = 5,   ///< span: serial recovery-lane recomputation
   kComplete = 6,   ///< instant: completion delivered to the requester
@@ -111,6 +112,7 @@ enum class EventName : std::uint8_t {
   kClientRecv = 14,  ///< span: client blocking read → response decoded
   kNetServe = 15,    ///< span: server dispatch → response encoded
 };
+/// One past the largest EventName value.
 inline constexpr int kNumEventNames = 16;
 
 /// Stable lowercase-dashed name ("engine-eval") used in exports.

@@ -87,8 +87,8 @@ TEST(ServiceCorrectness, PumpModeMatchesScalarModel) {
 TEST(ServiceCorrectness, WideBatchDispatchMatchesScalarModel) {
   // max_batch = the detected SIMD lane width (the default): a flush
   // after >512 queued submissions makes every dispatch pop a batch
-  // wider than 64 lanes, driving the wide transpose/eval/un-transpose
-  // path end to end.  Window 6 at width 64 flags often enough that the
+  // wider than 64 requests, driving full-size batches through dispatch
+  // end to end.  Window 6 at width 64 flags often enough that the
   // recovery lane runs inside wide batches too.
   const int width = 64, window = 6;
   auto config = pump_config(width, window);
@@ -121,6 +121,51 @@ TEST(ServiceCorrectness, WideBatchDispatchMatchesScalarModel) {
   const auto snap = service.registry().snapshot();
   EXPECT_EQ(counter_value(snap, "service.completed"), 1200);
   EXPECT_EQ(counter_value(snap, "service.recovered"), flagged);
+}
+
+TEST(ServiceCorrectness, ComplementaryTrafficWrongMatchesScalarModel) {
+  // b ≈ ~a: nearly every request flags, and whether its speculative
+  // answer was wrong depends on the exact carry into its longest runs —
+  // the speculative_wrong term the row-wise evaluator derives from the
+  // exact sum.  Every completion must match aca_add, carry out included.
+  const int width = 256, window = 32;
+  AdderService service(pump_config(width, window));
+  workloads::OperandStream stream(workloads::Distribution::Complementary,
+                                  width, 0xc0de);
+  struct Expected {
+    BitVec sum;
+    bool flagged;
+    bool wrong;
+    std::future<Completion> future;
+  };
+  std::vector<Expected> expected;
+  int wrong = 0, flagged_right = 0;
+  for (int i = 0; i < 600; ++i) {
+    const auto [a, b] = stream.next();
+    const core::AcaResult spec = core::aca_add(a, b, window);
+    const auto exact = a.add_with_carry(b);
+    const bool is_wrong =
+        spec.sum != exact.sum || spec.carry_out != exact.carry_out;
+    wrong += is_wrong ? 1 : 0;
+    flagged_right += spec.flagged && !is_wrong ? 1 : 0;
+    auto future = service.submit(a, b);
+    ASSERT_TRUE(future.has_value());
+    expected.push_back(
+        {exact.sum, spec.flagged, is_wrong, std::move(*future)});
+  }
+  service.flush();
+  for (auto& e : expected) {
+    const Completion got = e.future.get();
+    EXPECT_EQ(got.sum, e.sum);
+    EXPECT_EQ(got.flagged, e.flagged);
+    EXPECT_EQ(got.speculative_wrong, e.wrong);
+  }
+  // The traffic reaches both outcomes of a flagged request.
+  EXPECT_GT(wrong, 0);
+  EXPECT_GT(flagged_right, 0);
+  EXPECT_EQ(counter_value(service.registry().snapshot(),
+                          "service.speculative_wrong"),
+            wrong);
 }
 
 TEST(ServiceDeterminism, FixedSeedSnapshotsAreByteIdentical) {
