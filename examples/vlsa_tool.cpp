@@ -23,8 +23,7 @@
 //                                                  arithmetic service
 //   vlsa_tool serve    <width> [k] --listen host:port [--workers W
 //                      --queue Q --policy block|reject --threads T]
-//                      [--shards N --route hash|rr --steal none|neighbor
-//                      --pin on|off]
+//                      [--shards N --route hash|rr --steal none|neighbor]
 //                      [--admin host:port] [--drain-grace-ms N]
 //                      [obs flags]                 epoll TCP server speaking
 //                                                  the binary framing of
@@ -45,8 +44,7 @@
 //   vlsa_tool loadgen  <width> [k] [--rate R --dist D --arrival A
 //                      --requests N --workers W --batch B --queue Q
 //                      --policy block|reject --seed S --json PATH]
-//                      [--shards N --route hash|rr --steal none|neighbor
-//                      --pin on|off]
+//                      [--shards N --route hash|rr --steal none|neighbor]
 //                      [obs flags]                 drive the service with
 //                                                  synthetic load, report
 //                                                  tail latencies
@@ -515,14 +513,6 @@ bool parse_shard_flag(vlsa::service::ServiceConfig& config,
       throw std::invalid_argument("unknown steal policy '" + value +
                                   "' (none, neighbor)");
     }
-  } else if (flag == "--pin") {
-    if (value == "on" || value == "1") {
-      config.pin_threads = true;
-    } else if (value == "off" || value == "0") {
-      config.pin_threads = false;
-    } else {
-      throw std::invalid_argument("--pin takes on|off");
-    }
   } else {
     return false;
   }
@@ -695,7 +685,6 @@ void wire_admin_endpoints(vlsa::net::AdminServer& admin_server,
                 config.steal == vlsa::service::StealPolicy::Neighbor
                     ? "neighbor"
                     : "none");
-        json.kv("pin_threads", config.pin_threads);
         json.kv("queue_capacity",
                 static_cast<unsigned long long>(config.queue_capacity));
         json.kv("overflow_policy",

@@ -3,11 +3,14 @@
 //
 // Any number of producers push requests; any number of dispatcher
 // workers pop them *in batches* so one queue transaction amortizes over
-// up to 64 requests (the batch engine's lane count).  The bound is the
-// backpressure mechanism: when the queue is full, `try_push` fails
-// immediately (reject policy) and `push_block` waits for space (block
-// policy), so overload degrades into rejections or producer throttling
-// instead of unbounded memory growth.
+// a whole batch (up to `ServiceConfig::max_batch` requests, by default
+// the SIMD lane width of sim::active_lanes()).  Pushes are bulk too: a
+// span of items moves in under one lock, and a single request is a
+// one-item span.  The bound is the backpressure mechanism: when the
+// queue is full, `try_push_many` takes the prefix that fits and hands
+// the rest back (reject policy, event loops) and `push_many_block`
+// waits for space (block policy), so overload degrades into rejections
+// or producer throttling instead of unbounded memory growth.
 //
 // `pop_batch` implements the batching scheduler's max-linger: it waits
 // for the first item, then keeps collecting until either `max` items
@@ -34,6 +37,7 @@
 #include <chrono>
 #include <cstddef>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "util/mutex.hpp"
@@ -58,44 +62,16 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Non-blocking push; false when full or closed.
-  bool try_push(T&& item) {
-    bool wake = false;
-    {
-      typename Sync::LockGuard lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-      wake = waiting_consumers_ > 0;
-    }
-    if (wake) not_empty_.notify_one();
-    return true;
-  }
-
-  /// Waits for space; false only when the queue is (or becomes) closed.
-  bool push_block(T&& item) {
-    bool wake = false;
-    {
-      typename Sync::UniqueLock lock(mutex_);
-      ++waiting_producers_;
-      while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
-      --waiting_producers_;
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-      wake = waiting_consumers_ > 0;
-    }
-    if (wake) not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocking bulk push: moves every element of `items` in, waiting for
   /// space as needed.  One lock round-trip and at most one wakeup per
   /// *chunk* of freed capacity instead of per item — this is what lets
-  /// producers keep 64-deep batches ahead of the dispatchers.  Returns
+  /// producers keep whole batches ahead of the dispatchers.  Returns
   /// the number of items pushed, which is items.size() unless the queue
   /// is (or becomes) closed mid-way.
-  std::size_t push_many_block(std::vector<T>& items) {
+  std::size_t push_many_block(std::span<T> items) {
     std::size_t pushed = 0;
     while (pushed < items.size()) {
+      std::size_t moved = 0;
       bool wake = false;
       {
         typename Sync::UniqueLock lock(mutex_);
@@ -103,11 +79,11 @@ class BoundedQueue {
         while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
         --waiting_producers_;
         if (closed_) break;
-        pushed += push_prefix_locked(items, pushed);
+        moved = push_prefix_locked(items.subspan(pushed));
         wake = waiting_consumers_ > 0;
       }
-      // More than one consumer can make progress on a multi-item push.
-      if (wake) not_empty_.notify_all();
+      pushed += moved;
+      if (wake) wake_consumers(moved);
     }
     return pushed;
   }
@@ -116,16 +92,16 @@ class BoundedQueue {
   /// fits under ONE lock, with at most one wakeup.  Returns the number
   /// pushed — 0 when the queue is closed.  The refused suffix stays in
   /// `items` untouched, so the caller can hand it back or retry it.
-  std::size_t try_push_many(std::vector<T>& items) {
+  std::size_t try_push_many(std::span<T> items) {
     std::size_t pushed = 0;
     bool wake = false;
     {
       typename Sync::LockGuard lock(mutex_);
       if (closed_) return 0;
-      pushed = push_prefix_locked(items, 0);
+      pushed = push_prefix_locked(items);
       wake = pushed > 0 && waiting_consumers_ > 0;
     }
-    if (wake) not_empty_.notify_all();
+    if (wake) wake_consumers(pushed);
     return pushed;
   }
 
@@ -142,27 +118,7 @@ class BoundedQueue {
       ++waiting_consumers_;
       while (!closed_ && items_.empty()) not_empty_.wait(lock);
       --waiting_consumers_;
-      taken += take_locked(out, max);
-      if (!closed_ && taken > 0 && taken < max && linger.count() > 0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() + linger;
-        while (taken < max && !closed_) {
-          ++waiting_consumers_;
-          // Timed wait for the "closed or non-empty" condition; `got`
-          // false means the linger deadline passed with nothing new.
-          bool got = true;
-          while (!closed_ && items_.empty()) {
-            if (not_empty_.wait_until(lock, deadline) ==
-                std::cv_status::timeout) {
-              got = closed_ || !items_.empty();
-              break;
-            }
-          }
-          --waiting_consumers_;
-          if (!got) break;  // linger expired
-          taken += take_locked(out, max - taken);
-        }
-      }
+      taken = take_lingering_locked(lock, out, max, linger);
       wake = taken > 0 && waiting_producers_ > 0;
     }
     if (wake) not_full_.notify_all();
@@ -207,25 +163,7 @@ class BoundedQueue {
         }
       }
       --waiting_consumers_;
-      result.taken += take_locked(out, max);
-      if (!closed_ && result.taken > 0 && result.taken < max &&
-          linger.count() > 0) {
-        const auto deadline = std::chrono::steady_clock::now() + linger;
-        while (result.taken < max && !closed_) {
-          ++waiting_consumers_;
-          bool got = true;
-          while (!closed_ && items_.empty()) {
-            if (not_empty_.wait_until(lock, deadline) ==
-                std::cv_status::timeout) {
-              got = closed_ || !items_.empty();
-              break;
-            }
-          }
-          --waiting_consumers_;
-          if (!got) break;  // linger expired
-          result.taken += take_locked(out, max - result.taken);
-        }
-      }
+      result.taken = take_lingering_locked(lock, out, max, linger);
       // The load-bearing line: closed-and-empty is decided under the
       // same lock that serializes pushes, so no item can slip between
       // "nothing taken" and "we are done".
@@ -271,16 +209,56 @@ class BoundedQueue {
   }
 
  private:
-  /// Move items[from, ...) in until the queue is full; returns the
-  /// count moved.
-  std::size_t push_prefix_locked(std::vector<T>& items, std::size_t from)
-      REQUIRES(mutex_) {
-    std::size_t i = from;
+  /// Move the longest prefix of `items` that fits; returns its length.
+  std::size_t push_prefix_locked(std::span<T> items) REQUIRES(mutex_) {
+    std::size_t i = 0;
     while (i < items.size() && items_.size() < capacity_) {
       items_.push_back(std::move(items[i]));
       ++i;
     }
-    return i - from;
+    return i;
+  }
+
+  /// One item can feed only one consumer; a bigger push may feed
+  /// several.
+  void wake_consumers(std::size_t moved) {
+    if (moved == 1) {
+      not_empty_.notify_one();
+    } else {
+      not_empty_.notify_all();
+    }
+  }
+
+  /// The shared body of both pops once their first wait is over: take
+  /// up to `max`, then — unless the queue is closed, empty-handed or
+  /// already full — keep collecting late arrivals until `max` items
+  /// are in hand or `linger` has elapsed.
+  std::size_t take_lingering_locked(typename Sync::UniqueLock& lock,
+                                    std::vector<T>& out, std::size_t max,
+                                    std::chrono::microseconds linger)
+      REQUIRES(mutex_) {
+    std::size_t taken = take_locked(out, max);
+    if (closed_ || taken == 0 || taken >= max || linger.count() <= 0) {
+      return taken;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + linger;
+    while (taken < max && !closed_) {
+      ++waiting_consumers_;
+      // Timed wait for the "closed or non-empty" condition; `got`
+      // false means the linger deadline passed with nothing new.
+      bool got = true;
+      while (!closed_ && items_.empty()) {
+        if (not_empty_.wait_until(lock, deadline) ==
+            std::cv_status::timeout) {
+          got = closed_ || !items_.empty();
+          break;
+        }
+      }
+      --waiting_consumers_;
+      if (!got) break;  // linger expired
+      taken += take_locked(out, max - taken);
+    }
+    return taken;
   }
 
   std::size_t take_locked(std::vector<T>& out, std::size_t max)

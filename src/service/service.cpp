@@ -8,11 +8,6 @@
 #include <string>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "core/aca.hpp"
 #include "sim/batch_engine.hpp"
 #include "trace/drift.hpp"
@@ -70,23 +65,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x *= 0xc4ceb9fe1a85ec53ULL;
   x ^= x >> 33;
   return x;
-}
-
-/// Best-effort: pin `thread` to core (shard index mod hardware
-/// concurrency).  A refused affinity call (restricted cgroup mask) is
-/// ignored — pinning is a performance hint, never a correctness
-/// requirement.
-void pin_to_core(std::thread& thread, std::size_t shard_index) {
-#ifdef __linux__
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(shard_index) % cores, &set);
-  (void)pthread_setaffinity_np(thread.native_handle(), sizeof set, &set);
-#else
-  (void)thread;
-  (void)shard_index;
-#endif
 }
 
 /// How long a steal-enabled worker parks on its own empty queue before
@@ -148,9 +126,6 @@ AdderService::AdderService(const ServiceConfig& config,
       for (int j = 0; j < per_shard; ++j) {
         shard.workers.emplace_back([this, i] { worker_loop(i); });
       }
-      if (config_.pin_threads) {
-        for (auto& worker : shard.workers) pin_to_core(worker, i);
-      }
       shard.recovery_worker =
           std::thread([this, &shard] { recovery_loop(shard); });
     }
@@ -186,85 +161,35 @@ std::size_t AdderService::route_of(const BitVec& a, const BitVec& b) const {
   return static_cast<std::size_t>(h % n_shards);
 }
 
-std::size_t AdderService::pick_shard(const BitVec& a, const BitVec& b) {
-  const std::size_t n_shards = shards_.size();
-  if (n_shards == 1) return 0;
-  if (config_.route == RoutePolicy::RoundRobin) {
-    return static_cast<std::size_t>(
-        rr_next_.fetch_add(1, std::memory_order_relaxed) % n_shards);
-  }
-  return route_of(a, b);
-}
-
 std::optional<std::future<Completion>> AdderService::submit(BitVec a,
                                                             BitVec b) {
-  if (closed_.load(std::memory_order_acquire)) {
-    throw std::runtime_error("AdderService: submit after close");
-  }
-  if (a.width() != config_.pipeline.width ||
-      b.width() != config_.pipeline.width) {
-    throw std::invalid_argument("AdderService: operand width mismatch");
-  }
-  const std::size_t shard_index = pick_shard(a, b);
-  Shard& shard = *shards_[shard_index];
+  std::pair<BitVec, BitVec> op{std::move(a), std::move(b)};
   Request request;
-  request.a = std::move(a);
-  request.b = std::move(b);
-  request.arrival_cycle = shard.vclock.load(std::memory_order_relaxed);
-  if (config_.record_wall_time) {
-    request.arrival_time = std::chrono::steady_clock::now();
-  }
-  auto future = request.promise.emplace().get_future();
-
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  // Blocking on a full queue in pump mode would deadlock (nothing
-  // drains until the caller pumps), so pump mode always rejects.
-  const bool block = config_.overflow == OverflowPolicy::Block &&
-                     config_.workers > 0;
-  const bool accepted = block ? shard.queue.push_block(std::move(request))
-                              : shard.queue.try_push(std::move(request));
-  if (!accepted) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (shard.queue.closed()) {
-      throw std::runtime_error("AdderService: submit after close");
-    }
-    rejected_.increment();
-    if (shard.rejected != nullptr) shard.rejected->increment();
-    return std::nullopt;
-  }
-  submitted_.increment();
-  if (shard.submitted != nullptr) shard.submitted->increment();
-  if (trace::enabled() && trace::sample()) {
-    trace::EventArgs args;
-    args.k = config_.pipeline.window;
-    if (config_.shards > 1) args.shard = static_cast<int>(shard_index);
-    trace::emit_instant(trace::EventName::kSubmit, args);
-  }
+  std::optional<std::future<Completion>> future;
+  submit_futures({&op, 1}, {&request, 1}, {&future, 1});
   return future;
 }
 
 std::vector<std::optional<std::future<Completion>>>
 AdderService::submit_many(std::vector<std::pair<BitVec, BitVec>> ops) {
+  std::vector<Request> requests(ops.size());
+  std::vector<std::optional<std::future<Completion>>> futures(ops.size());
+  submit_futures(ops, requests, futures);
+  return futures;
+}
+
+void AdderService::submit_futures(
+    std::span<std::pair<BitVec, BitVec>> ops, std::span<Request> requests,
+    std::span<std::optional<std::future<Completion>>> futures) {
   if (closed_.load(std::memory_order_acquire)) {
     throw std::runtime_error("AdderService: submit after close");
   }
-  std::vector<Request> requests(ops.size());
-  std::vector<std::optional<std::future<Completion>>> futures;
-  futures.reserve(ops.size());
-  const auto now = config_.record_wall_time
-                       ? std::chrono::steady_clock::now()
-                       : std::chrono::steady_clock::time_point{};
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    auto& [a, b] = ops[i];
-    if (a.width() != config_.pipeline.width ||
-        b.width() != config_.pipeline.width) {
-      throw std::invalid_argument("AdderService: operand width mismatch");
-    }
-    requests[i].a = std::move(a);
-    requests[i].b = std::move(b);
-    requests[i].arrival_time = now;
-    futures.push_back(requests[i].promise.emplace().get_future());
+  fill_requests(ops, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    futures[i] = requests[i].promise.emplace().get_future();
   }
+  // Blocking on a full queue in pump mode would deadlock (nothing
+  // drains until the caller pumps), so pump mode always rejects.
   const bool block = config_.overflow == OverflowPolicy::Block &&
                      config_.workers > 0;
   std::vector<std::size_t> refused;
@@ -274,7 +199,24 @@ AdderService::submit_many(std::vector<std::pair<BitVec, BitVec>> ops) {
     throw std::runtime_error("AdderService: submit after close");
   }
   for (const std::size_t i : refused) futures[i].reset();
-  return futures;
+}
+
+void AdderService::fill_requests(std::span<std::pair<BitVec, BitVec>> ops,
+                                 std::span<Request> requests) const {
+  for (const auto& [a, b] : ops) {
+    if (a.width() != config_.pipeline.width ||
+        b.width() != config_.pipeline.width) {
+      throw std::invalid_argument("AdderService: operand width mismatch");
+    }
+  }
+  const auto now = config_.record_wall_time
+                       ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{};
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    requests[i].a = std::move(ops[i].first);
+    requests[i].b = std::move(ops[i].second);
+    requests[i].arrival_time = now;
+  }
 }
 
 AdderService::BulkResult AdderService::try_submit_many(
@@ -283,31 +225,17 @@ AdderService::BulkResult AdderService::try_submit_many(
   if (ops.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("AdderService: bulk submit too large");
   }
-  for (const auto& [a, b] : ops) {
-    if (a.width() != config_.pipeline.width ||
-        b.width() != config_.pipeline.width) {
-      throw std::invalid_argument("AdderService: operand width mismatch");
-    }
-  }
-  const std::size_t first_refused = refused.size();
-  if (closed_.load(std::memory_order_acquire)) {
-    for (std::size_t i = 0; i < ops.size(); ++i) refused.push_back(i);
-    return {0, true};
-  }
   std::vector<Request> requests(ops.size());
-  const auto now = config_.record_wall_time
-                       ? std::chrono::steady_clock::now()
-                       : std::chrono::steady_clock::time_point{};
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    requests[i].a = std::move(ops[i].first);
-    requests[i].b = std::move(ops[i].second);
+  fill_requests(ops, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     requests[i].sink = &sink;
     requests[i].sink_index = static_cast<std::uint32_t>(i);
-    requests[i].arrival_time = now;
   }
   // Always try-semantics: this path exists for event loops, which must
   // never park on a condition variable.  Only the Reject policy counts
-  // a refusal as a service rejection.
+  // a refusal as a service rejection.  After close() every queue
+  // refuses, so everything comes back with `closed` set.
+  const std::size_t first_refused = refused.size();
   const BulkResult result = push_routed(
       requests, /*block=*/false,
       config_.overflow == OverflowPolicy::Reject, refused);
@@ -321,70 +249,73 @@ AdderService::BulkResult AdderService::try_submit_many(
 }
 
 AdderService::BulkResult AdderService::push_routed(
-    std::vector<Request>& requests, bool block, bool count_rejected,
+    std::span<Request> requests, bool block, bool count_rejected,
     std::vector<std::size_t>& refused) {
   BulkResult result;
   // Counted in before the push: a request may complete (and count
   // itself out) before the push call returns.
   inflight_.fetch_add(static_cast<long long>(requests.size()),
                       std::memory_order_acq_rel);
-  // One bucket, one queue transaction.  Requests of one bucket share
-  // an arrival cycle, which is what lets dispatch aggregate their
-  // latency records into runs.  `origin` maps bucket positions back to
-  // request indices (null when the bucket is `requests` itself).
-  auto push_bucket = [&](std::size_t shard_index, std::vector<Request>& bucket,
-                         const std::vector<std::size_t>* origin) {
+  // One shard's share, one queue transaction.  Requests of one share
+  // have one arrival cycle, which is what lets dispatch aggregate their
+  // latency records into runs.  `origin` maps share positions back to
+  // request indices (null when the share is `requests` itself).
+  auto push_share = [&](std::size_t shard_index, std::span<Request> share,
+                        const std::vector<std::size_t>* origin) {
     Shard& shard = *shards_[shard_index];
     const long long arrival = shard.vclock.load(std::memory_order_relaxed);
-    for (auto& request : bucket) request.arrival_cycle = arrival;
-    const std::size_t taken = block ? shard.queue.push_many_block(bucket)
-                                    : shard.queue.try_push_many(bucket);
+    for (auto& request : share) request.arrival_cycle = arrival;
+    const std::size_t taken = block ? shard.queue.push_many_block(share)
+                                    : shard.queue.try_push_many(share);
     result.accepted += taken;
     if (shard.submitted != nullptr) {
       shard.submitted->increment(static_cast<long long>(taken));
     }
-    if (taken == bucket.size()) return;
+    if (taken == share.size()) return;
     const bool closed = shard.queue.closed();
     result.closed = result.closed || closed;
     if (count_rejected && !closed && shard.rejected != nullptr) {
-      shard.rejected->increment(static_cast<long long>(bucket.size() - taken));
+      shard.rejected->increment(static_cast<long long>(share.size() - taken));
     }
-    for (std::size_t j = taken; j < bucket.size(); ++j) {
+    for (std::size_t j = taken; j < share.size(); ++j) {
       if (origin == nullptr) {
         refused.push_back(j);
       } else {
         refused.push_back((*origin)[j]);
-        requests[(*origin)[j]] = std::move(bucket[j]);
+        requests[(*origin)[j]] = std::move(share[j]);
       }
     }
   };
+  // Routing granularity: RoundRobin takes ONE ticket per call (rotating
+  // whole chunks keeps the one-transaction batching win; a single
+  // submit() is a one-request call, so singles rotate), Hash routes
+  // request by request and pays one bulk push per shard it touches.
+  // Hash routing also keeps net-server backpressure per shard: a retry
+  // of the same parked frame lands on the same (still-full) shard.
+  // `target` is the one shard a call lands on whole, when there is one.
   const std::size_t n_shards = shards_.size();
+  std::optional<std::size_t> target;
   if (n_shards == 1) {
-    push_bucket(0, requests, nullptr);
+    target = 0;
+  } else if (config_.route == RoutePolicy::RoundRobin) {
+    target = static_cast<std::size_t>(
+        rr_next_.fetch_add(1, std::memory_order_relaxed) % n_shards);
+  } else if (requests.size() == 1) {
+    target = route_of(requests[0].a, requests[0].b);
+  }
+  if (target) {
+    push_share(*target, requests, nullptr);
   } else {
-    // Routing granularity: RoundRobin takes ONE ticket for the whole
-    // call (rotating whole chunks keeps the one-transaction batching
-    // win), Hash buckets request by request and pays one bulk push per
-    // non-empty bucket.  Hash routing also keeps net-server
-    // backpressure per shard: a retry of the same parked frame lands on
-    // the same (still-full) shard.
-    std::size_t chunk_shard = 0;
-    if (config_.route == RoutePolicy::RoundRobin) {
-      chunk_shard = static_cast<std::size_t>(
-          rr_next_.fetch_add(1, std::memory_order_relaxed) % n_shards);
-    }
-    std::vector<std::vector<Request>> buckets(n_shards);
+    std::vector<std::vector<Request>> shares(n_shards);
     std::vector<std::vector<std::size_t>> origin(n_shards);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      const std::size_t s = config_.route == RoutePolicy::Hash
-                                ? route_of(requests[i].a, requests[i].b)
-                                : chunk_shard;
+      const std::size_t s = route_of(requests[i].a, requests[i].b);
       origin[s].push_back(i);
-      buckets[s].push_back(std::move(requests[i]));
+      shares[s].push_back(std::move(requests[i]));
     }
     const std::size_t first_refused = refused.size();
     for (std::size_t s = 0; s < n_shards; ++s) {
-      if (!buckets[s].empty()) push_bucket(s, buckets[s], &origin[s]);
+      if (!shares[s].empty()) push_share(s, shares[s], &origin[s]);
     }
     std::sort(refused.begin() + static_cast<std::ptrdiff_t>(first_refused),
               refused.end());
@@ -397,10 +328,12 @@ AdderService::BulkResult AdderService::push_routed(
   }
   submitted_.increment(static_cast<long long>(result.accepted));
   // One submit instant per call (not per request): the bulk paths'
-  // unit of work is the chunk.
+  // unit of work is the chunk.  It names the shard when the call landed
+  // on exactly one of several.
   if (result.accepted > 0 && trace::enabled() && trace::sample()) {
     trace::EventArgs args;
     args.k = config_.pipeline.window;
+    if (n_shards > 1 && target) args.shard = static_cast<int>(*target);
     trace::emit_instant(trace::EventName::kSubmit, args);
   }
   return result;
@@ -409,63 +342,48 @@ AdderService::BulkResult AdderService::push_routed(
 void AdderService::worker_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   const auto max_batch = static_cast<std::size_t>(config_.max_batch);
-  std::vector<Request> batch;
-  batch.reserve(max_batch);
-  std::vector<std::uint64_t> scratch;
+  DispatchBuffers buffers;
+  buffers.batch.reserve(max_batch);
+  buffers.flagged.reserve(max_batch);
+  std::vector<Request>& batch = buffers.batch;
   const bool steal =
       config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
-  if (!steal) {
-    while (shard.queue.pop_batch(batch, max_batch, config_.max_linger) > 0) {
-      // Depth is sampled per batch, not per submission: the gauge is a
-      // load indicator and must stay off the producers' hot path.
-      const auto depth = static_cast<long long>(shard.queue.size());
-      queue_depth_.set(depth);
-      if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
-      dispatch(batch, scratch, shard, shard_index, false,
-               &shard.recovery_queue);
-      batch.clear();
-    }
-    return;
-  }
-  // Steal-enabled loop: park on the own queue for at most kStealPoll,
-  // then opportunistically drain the right-hand neighbor.  Exit only on
-  // pop_batch_for's atomic closed-and-empty signal — checking closed()
-  // separately after a timeout is exactly the lost-item drain race the
-  // mc two-queue suite pins down (see BoundedQueue::PopResult).
+  // A steal-enabled worker parks on its own queue for at most
+  // kStealPoll, then opportunistically drains the right-hand neighbor.
+  // It exits only on pop_batch_for's atomic closed-and-empty signal —
+  // checking closed() separately after a timeout is exactly the
+  // lost-item drain race the mc two-queue suite pins down (see
+  // BoundedQueue::PopResult).
   Shard& victim = *shards_[(shard_index + 1) % shards_.size()];
+  // Own queue idle: alternate own-queue checks with neighbor steals so
+  // a refilling home queue preempts further stealing.
+  bool polling = false;
   for (;;) {
-    const auto result = shard.queue.pop_batch_for(
-        batch, max_batch, config_.max_linger, kStealPoll);
-    if (result.taken > 0) {
-      const auto depth = static_cast<long long>(shard.queue.size());
-      queue_depth_.set(depth);
-      if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
-      dispatch(batch, scratch, shard, shard_index, false,
-               &shard.recovery_queue);
-      batch.clear();
-      continue;
-    }
-    if (result.done) return;
-    // Own queue idle: alternate own-queue checks with neighbor steals
-    // so a refilling home queue preempts further stealing.
-    for (;;) {
-      if (shard.queue.try_pop_batch(batch, max_batch) > 0) {
-        dispatch(batch, scratch, shard, shard_index, false,
-                 &shard.recovery_queue);
-        batch.clear();
-        break;
+    bool stolen = false;
+    if (!steal) {
+      if (shard.queue.pop_batch(batch, max_batch, config_.max_linger) == 0) {
+        return;
       }
-      if (victim.queue.try_pop_batch(batch, max_batch) > 0) {
+    } else if (!polling) {
+      const auto result = shard.queue.pop_batch_for(
+          batch, max_batch, config_.max_linger, kStealPoll);
+      if (result.taken == 0 && result.done) return;
+      polling = result.taken == 0;
+    }
+    if (polling) {
+      if (shard.queue.try_pop_batch(batch, max_batch) > 0) {
+        polling = false;
+      } else if (victim.queue.try_pop_batch(batch, max_batch) > 0) {
         // Stolen work runs on OUR engine and recovery lane, clocked by
         // OUR vclock — provenance lands in service.stolen{shard=us},
         // Completion::shard, and the trace shard id.
-        dispatch(batch, scratch, shard, shard_index, true,
-                 &shard.recovery_queue);
-        batch.clear();
+        stolen = true;
+      } else {
+        polling = false;  // both queues empty — back to the timed wait
         continue;
       }
-      break;  // both queues empty — back to the timed wait
     }
+    dispatch(buffers, shard, shard_index, stolen);
   }
 }
 
@@ -473,16 +391,22 @@ void AdderService::recovery_loop(Shard& shard) {
   std::vector<RecoveryItem> items;
   while (shard.recovery_queue.pop_batch(items, sim::kMaxBatchLanes,
                                         std::chrono::microseconds{0}) > 0) {
-    for (auto& item : items) recover_one(std::move(item));
+    for (auto& item : items) recover_one(item);
     items.clear();
   }
 }
 
-std::size_t AdderService::dispatch(std::vector<Request>& batch,
-                                   std::vector<std::uint64_t>& scratch,
-                                   Shard& shard, std::size_t shard_index,
-                                   bool stolen,
-                                   BoundedQueue<RecoveryItem>* recovery) {
+std::size_t AdderService::dispatch(DispatchBuffers& buffers, Shard& shard,
+                                   std::size_t shard_index, bool stolen) {
+  std::vector<Request>& batch = buffers.batch;
+  std::vector<RecoveryItem>& flagged_items = buffers.flagged;
+  if (!stolen) {
+    // Depth is sampled per batch, not per submission: the gauge is a
+    // load indicator and must stay off the producers' hot path.
+    const auto depth = static_cast<long long>(shard.queue.size());
+    queue_depth_.set(depth);
+    if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
+  }
   const int window = config_.pipeline.window;
   // One modeled cycle per dispatched batch on THIS shard's clock —
   // each shard models an independent VLSA functional unit, so N shards
@@ -510,9 +434,9 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   // collected first so the drift monitor sees the batch before any of
   // its requests can complete.
   const std::size_t limbs = batch.front().a.limbs().size();
-  scratch.resize(2 * limbs);
-  const std::span<std::uint64_t> sum(scratch.data(), limbs);
-  const std::span<std::uint64_t> runs(scratch.data() + limbs, limbs);
+  buffers.limbs.resize(2 * limbs);
+  const std::span<std::uint64_t> sum(buffers.limbs.data(), limbs);
+  const std::span<std::uint64_t> runs(buffers.limbs.data() + limbs, limbs);
   const std::uint64_t t_eval = sampled ? trace::now_ns() : 0;
   std::bitset<sim::kMaxBatchLanes> flagged, wrong;
   for (std::size_t lane = 0; lane < batch.size(); ++lane) {
@@ -600,11 +524,6 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
       ++n_fast;
       continue;
     }
-    RecoveryItem item;
-    item.speculative_wrong = wrong[lane];
-    item.batch = batch_id;
-    item.lane = static_cast<int>(lane);
-    item.shard = static_cast<int>(shard_index);
     if (trace_recovery) {
       trace::EventArgs args;
       args.batch = batch_id;
@@ -619,24 +538,12 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
       }
       trace::emit_instant(trace::EventName::kErCheck, args);
     }
-    {
-      // The recovery lane is a serial resource PER SHARD: it picks the
-      // request up no earlier than the cycle after detection and holds
-      // it for recovery_cycles — queued flags congest, fattening the
-      // tail of the shard they flagged on.
-      util::LockGuard lock(shard.recovery_clock_mutex);
-      shard.recovery_free_at =
-          std::max(shard.recovery_free_at, round + 1) +
-          config_.pipeline.recovery_cycles;
-      item.latency_cycles = std::max<long long>(
-          1, shard.recovery_free_at - request.arrival_cycle);
-    }
+    RecoveryItem& item = flagged_items.emplace_back();
     item.request = std::move(request);
-    if (recovery != nullptr) {
-      recovery->push_block(std::move(item));
-    } else {
-      recover_one(std::move(item));
-    }
+    item.speculative_wrong = wrong[lane];
+    item.batch = batch_id;
+    item.lane = static_cast<int>(lane);
+    item.shard = static_cast<int>(shard_index);
   }
   if (run_count > 0) latency_cycles_.record_n(run_value, run_count);
   if (n_fast > 0) {
@@ -645,18 +552,44 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
     if (shard.completed != nullptr) shard.completed->increment(n_fast);
     inflight_.fetch_sub(n_fast, std::memory_order_acq_rel);
   }
-  return batch.size();
+  if (!flagged_items.empty()) {
+    {
+      // The recovery lane is a serial resource PER SHARD: it picks each
+      // request up no earlier than the cycle after detection and holds
+      // it for recovery_cycles — queued flags congest, fattening the
+      // tail of the shard they flagged on.
+      util::LockGuard lock(shard.recovery_clock_mutex);
+      for (auto& item : flagged_items) {
+        shard.recovery_free_at =
+            std::max(shard.recovery_free_at, round + 1) +
+            config_.pipeline.recovery_cycles;
+        item.latency_cycles = std::max<long long>(
+            1, shard.recovery_free_at - item.request.arrival_cycle);
+      }
+    }
+    if (config_.workers > 0) {
+      // close() keeps the recovery queue open until every dispatcher
+      // has joined, so this push always lands.
+      shard.recovery_queue.push_many_block(flagged_items);
+    } else {
+      for (auto& item : flagged_items) recover_one(item);
+    }
+    flagged_items.clear();
+  }
+  const std::size_t dispatched = batch.size();
+  batch.clear();
+  return dispatched;
 }
 
-void AdderService::recover_one(RecoveryItem item) {
+void AdderService::recover_one(RecoveryItem& item) {
   const bool trace_recovery = trace::enabled() && trace::sample_recovery();
   const std::uint64_t t_start = trace_recovery ? trace::now_ns() : 0;
+  Request& request = item.request;
   // The recovery lane recomputes the sum exactly — the software twin of
   // the paper's recovery adder stage.
-  auto exact = item.request.a.add_with_carry(item.request.b);
+  auto exact = request.a.add_with_carry(request.b);
   if (config_.postmortem != nullptr) {
-    config_.postmortem->record(item.request.a, item.request.b,
-                               config_.pipeline.window,
+    config_.postmortem->record(request.a, request.b, config_.pipeline.window,
                                item.speculative_wrong, item.batch, item.lane,
                                t_start);
   }
@@ -667,30 +600,14 @@ void AdderService::recover_one(RecoveryItem item) {
     args.k = config_.pipeline.window;
     args.er = 1;
     args.shard = config_.shards > 1 ? item.shard : -1;
-    args.chain =
-        core::longest_propagate_chain(item.request.a, item.request.b);
-    args.a_lo = item.request.a.limbs()[0];
-    args.b_lo = item.request.b.limbs()[0];
+    args.chain = core::longest_propagate_chain(request.a, request.b);
+    args.a_lo = request.a.limbs()[0];
+    args.b_lo = request.b.limbs()[0];
     args.has_operands = true;
     trace::emit_complete(trace::EventName::kRecovery, t_start, args);
     trace::emit_instant(trace::EventName::kComplete, args);
   }
-  recovered_.increment();
-  Shard& shard = *shards_[static_cast<std::size_t>(item.shard)];
-  if (shard.recovered != nullptr) shard.recovered->increment();
-  if (item.speculative_wrong) wrong_.increment();
-  Completion completion;
-  completion.sum = std::move(exact.sum);
-  completion.flagged = true;
-  completion.speculative_wrong = item.speculative_wrong;
-  completion.latency_cycles = item.latency_cycles;
-  completion.shard = item.shard;
-  complete(item.request, std::move(completion));
-}
-
-void AdderService::complete(Request& request, Completion completion) {
-  latency_cycles_.record(
-      static_cast<std::uint64_t>(completion.latency_cycles));
+  latency_cycles_.record(static_cast<std::uint64_t>(item.latency_cycles));
   if (config_.record_wall_time) {
     const auto elapsed =
         std::chrono::steady_clock::now() - request.arrival_time;
@@ -698,10 +615,18 @@ void AdderService::complete(Request& request, Completion completion) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count()));
   }
-  if (!completion.flagged) fast_path_.increment();
+  recovered_.increment();
   completed_.increment();
-  Shard& shard = *shards_[static_cast<std::size_t>(completion.shard)];
+  Shard& shard = *shards_[static_cast<std::size_t>(item.shard)];
+  if (shard.recovered != nullptr) shard.recovered->increment();
   if (shard.completed != nullptr) shard.completed->increment();
+  if (item.speculative_wrong) wrong_.increment();
+  Completion completion;
+  completion.sum = std::move(exact.sum);
+  completion.flagged = true;
+  completion.speculative_wrong = item.speculative_wrong;
+  completion.latency_cycles = item.latency_cycles;
+  completion.shard = item.shard;
   deliver(request, std::move(completion));
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
 }
@@ -718,8 +643,6 @@ std::size_t AdderService::pump() {
   if (config_.workers != 0) {
     throw std::logic_error("AdderService::pump: only valid with workers=0");
   }
-  std::vector<Request> batch;
-  std::vector<std::uint64_t> scratch;
   const std::size_t n_shards = shards_.size();
   // Rotate so no shard starves when several hold work; pump mode is
   // single-threaded by contract, so plain member state suffices.
@@ -727,14 +650,12 @@ std::size_t AdderService::pump() {
     const std::size_t idx = (pump_next_ + i) % n_shards;
     Shard& shard = *shards_[idx];
     if (shard.queue.try_pop_batch(
-            batch, static_cast<std::size_t>(config_.max_batch)) == 0) {
+            pump_buffers_.batch,
+            static_cast<std::size_t>(config_.max_batch)) == 0) {
       continue;
     }
     pump_next_ = (idx + 1) % n_shards;
-    const auto depth = static_cast<long long>(shard.queue.size());
-    queue_depth_.set(depth);
-    if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
-    return dispatch(batch, scratch, shard, idx, false, nullptr);
+    return dispatch(pump_buffers_, shard, idx, false);
   }
   return 0;
 }
@@ -759,8 +680,8 @@ void AdderService::close() {
   //      atomic closed-and-empty signal (a thief may also drain its
   //      neighbor's leftovers, which only speeds this up);
   //   3. only then close the recovery queues and join their workers —
-  //      dispatch() ignores push_block's return, so a recovery queue
-  //      must outlive every thread that might still push into it.
+  //      dispatch() ignores push_many_block's return, so a recovery
+  //      queue must outlive every thread that might still push into it.
   // Closing recovery queues shard-by-shard interleaved with step 2
   // would reintroduce the drain race the mc suite pins.
   for (auto& shard : shards_) shard->queue.close();

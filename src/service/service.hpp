@@ -13,11 +13,14 @@
 // sum, the ER flag and `speculative_wrong`, with no transpose.  The
 // unflagged majority completes immediately with the exact sum —
 // soundness (ER clear implies the ACA sum is exact, tested in
-// tests/test_aca.cpp) makes that the one-cycle answer.  Flagged requests detour through a serial *recovery
-// lane* that recomputes the exact sum and models
+// tests/test_aca.cpp) makes that the one-cycle answer.  A batch's
+// flagged requests detour, in one bulk hand-off, through a serial
+// *recovery lane* that recomputes the exact sum and models
 // `PipelineConfig::recovery_cycles` of extra service time per request,
 // so adversarial traffic (long propagate chains) visibly congests the
-// tail instead of averaging away.
+// tail instead of averaging away.  Every submit path — submit(),
+// submit_many(), try_submit_many() — runs one routing-and-push body;
+// submit() is a one-request call of it.
 //
 // Two clocks. (1) Wall time: nanosecond latency histograms, for real
 // throughput numbers (optional — `record_wall_time`). (2) A modeled
@@ -45,10 +48,9 @@
 // units — the single global MPMC queue stops being the serialization
 // point.  Submissions route by operand hash or round-robin
 // (`RoutePolicy`); idle workers can steal a neighbor shard's backlog
-// (`StealPolicy::Neighbor`); workers optionally pin to cores.  Each
-// shard owns a modeled cycle clock (one VLSA functional unit per
-// shard), its own serial recovery lane, and labeled per-shard metrics
-// ("service.submitted{shard=3}").  shards == 1 is byte-for-byte the
+// (`StealPolicy::Neighbor`).  Each shard owns a modeled cycle clock
+// (one VLSA functional unit per shard), its own serial recovery lane,
+// and labeled per-shard metrics ("service.submitted{shard=3}").  shards == 1 is byte-for-byte the
 // pre-sharding service — no routing, no labels, same snapshots.
 
 #include <atomic>
@@ -123,10 +125,6 @@ struct ServiceConfig {
   /// request executes (and is clocked) on the thief's shard, counted in
   /// that shard's `service.stolen{shard=i}`.
   StealPolicy steal = StealPolicy::None;
-  /// Pin each shard's dispatcher threads to core (shard index mod
-  /// hardware_concurrency).  Linux-only; a no-op elsewhere and off by
-  /// default — pinning helps dedicated hosts and hurts shared ones.
-  bool pin_threads = false;
   /// Requests popped per dispatch (one modeled cycle), in
   /// [1, sim::active_lanes()].  0 (the default) batches to the detected
   /// SIMD lane width (64 scalar, 256 AVX2, 512 AVX-512 — or whatever
@@ -332,32 +330,48 @@ class AdderService {
     telemetry::Gauge* queue_depth = nullptr;
   };
 
+  /// One dispatcher's buffers, reused across batches so a steady-state
+  /// dispatch allocates nothing: the popped batch, the evaluator's limb
+  /// scratch, and the batch's flagged requests on their way to the
+  /// recovery lane.
+  struct DispatchBuffers {
+    std::vector<Request> batch;
+    std::vector<std::uint64_t> limbs;
+    std::vector<RecoveryItem> flagged;
+  };
+
   void worker_loop(std::size_t shard_index);
   void recovery_loop(Shard& shard);
-  /// Pick the shard for a submission (Hash mixes the operand low limbs;
-  /// RoundRobin takes a ticket from rr_next_).
-  std::size_t pick_shard(const BitVec& a, const BitVec& b);
-  /// Evaluate one batch on `shard` (`scratch` is the evaluator's limb
-  /// buffer, reused across batches); flagged requests go to
-  /// `recovery` (worker mode) or are recovered inline when
-  /// `recovery == nullptr` (pump mode).  `stolen` marks a batch the
-  /// executing worker took from a neighbor's queue.
-  std::size_t dispatch(std::vector<Request>& batch,
-                       std::vector<std::uint64_t>& scratch, Shard& shard,
-                       std::size_t shard_index, bool stolen,
-                       BoundedQueue<RecoveryItem>* recovery);
-  void recover_one(RecoveryItem item);
-  void complete(Request& request, Completion completion);
-  /// Route `requests` (submission order, arrival cycles unset) into
-  /// shard buckets, stamp each bucket's arrival cycle once, and push
-  /// every bucket in one queue transaction: push_many_block when
-  /// `block`, try_push_many otherwise.  Refused requests stay in
-  /// `requests` at their index (accepted ones are moved out) and their
-  /// indices are appended to `refused`, ascending.  Updates inflight_
-  /// and the submitted counters; rejections are counted only when
-  /// `count_rejected` and the refusing queue was not closed.  The
-  /// shared body of submit_many and try_submit_many.
-  BulkResult push_routed(std::vector<Request>& requests, bool block,
+  /// Evaluate `buffers.batch` on `shard` and clear it.  Flagged requests
+  /// go to the shard's recovery lane in one bulk push (worker mode) or
+  /// are recovered inline in lane order (pump mode).  `stolen` marks a
+  /// batch the executing worker took from a neighbor's queue.
+  std::size_t dispatch(DispatchBuffers& buffers, Shard& shard,
+                       std::size_t shard_index, bool stolen);
+  /// Recompute a flagged request's sum exactly and complete it.
+  void recover_one(RecoveryItem& item);
+  /// The request-building step every submit path shares: checks every
+  /// operand width (std::invalid_argument, before anything is moved),
+  /// then moves `ops` into `requests`, stamped with one arrival time.
+  void fill_requests(std::span<std::pair<BitVec, BitVec>> ops,
+                     std::span<Request> requests) const;
+  /// The future paths' body (submit and submit_many): build, attach a
+  /// promise per request, route and push; futures[i] stays empty for a
+  /// refused request.
+  void submit_futures(
+      std::span<std::pair<BitVec, BitVec>> ops, std::span<Request> requests,
+      std::span<std::optional<std::future<Completion>>> futures);
+  /// The one submission body.  Routes `requests` (submission order,
+  /// arrival cycles unset) to shards — Hash per request, RoundRobin one
+  /// ticket per call — stamps each shard's arrival cycle once, and
+  /// pushes every shard's share in one queue transaction:
+  /// push_many_block when `block`, try_push_many otherwise.  Refused
+  /// requests stay in `requests` at their index (accepted ones are
+  /// moved out) and their indices are appended to `refused`, ascending.
+  /// Updates inflight_ and the submitted counters; rejections are
+  /// counted only when `count_rejected` and the refusing queue was not
+  /// closed.
+  BulkResult push_routed(std::span<Request> requests, bool block,
                          bool count_rejected,
                          std::vector<std::size_t>& refused);
   /// Hand the finished completion to whichever channel the request
@@ -385,17 +399,17 @@ class AdderService {
   //    release half of each decrement orders the promise fulfillment
   //    (set_value) before the count drop, so a flush() that observes 0
   //    with an acquire load happens-after every completion it waited
-  //    for.  The increment side could be relaxed, but submit/complete
-  //    share one helper pattern and the cost is unmeasurable off the
-  //    per-batch path.
+  //    for.  The increment side could be relaxed, but it is one
+  //    fetch_add per submit call and the cost is unmeasurable.
   //  * closed_ — store release in close(), load acquire in the submit
   //    paths: a submitter that sees closed_ == true also sees the
   //    queue close() calls that preceded the store (it will observe
   //    queue.closed() and throw rather than silently drop).
   std::atomic<std::uint64_t> rr_next_{0};
   /// Pump mode is single-threaded by definition, so plain rotation
-  /// state is fine here.
+  /// state and one shared set of dispatch buffers are fine here.
   std::size_t pump_next_ = 0;
+  DispatchBuffers pump_buffers_;
 
   std::atomic<long long> inflight_{0};
   std::atomic<bool> closed_{false};

@@ -14,16 +14,19 @@
 // already congested.
 //
 // Mechanism: observations accumulate into fixed-size windows of
-// `window` requests.  When a window fills, the observed rate p̂ is
-// compared against the expected rate p under a two-sided normal test:
-//     z = (p̂ - p) / sqrt(p (1 - p) / window)
-// (the standard error is floored at 1/window so p ≈ 0 — large k —
-// still yields a finite z: at that floor a single stray flag in a
-// window reads as z = 1).  |z| > z_threshold marks the window out of
-// band; the verdict lands in telemetry gauges (drift.observed_ppm,
-// drift.expected_ppm, drift.zscore_centi, drift.out_of_band) and
-// counters (drift.windows, drift.windows_out_of_band), and an optional
-// log line fires on each out-of-band window.
+// `window` requests.  When a window fills, its flag count is tested
+// against Binomial(window, p) exactly: the window is out of band when
+// the tail on the count's side of the mean is at most half the
+// two-sided rate 2Φ(−z_threshold) — so in-distribution traffic trips
+// the alarm in at most 2Φ(−z_threshold) of its windows, even where the
+// model expects about one flag per window and a normal test would cry
+// wolf.  The reported score is the normal z = (p̂ - p) /
+// sqrt(p (1 - p) / window), its standard error floored at 1/window so
+// p ≈ 0 — large k — still yields a finite z.  The verdict lands in
+// telemetry gauges (drift.observed_ppm, drift.expected_ppm,
+// drift.zscore_centi, drift.out_of_band) and counters (drift.windows,
+// drift.windows_out_of_band), and an optional log line fires on each
+// out-of-band window.
 //
 // Granularity: the service reports once per *batch*
 // (record_batch(n, flagged)), so the monitor's lock is off the
@@ -43,8 +46,8 @@ struct DriftConfig {
   int k = 8;       ///< speculation window
   /// Observations per evaluation window.
   std::uint64_t window = std::uint64_t{1} << 14;
-  /// Two-sided z bound; 4 ≈ 6e-5 false-positive rate per window under
-  /// the normal approximation.
+  /// Names the false-alarm rate per window, 2Φ(−z_threshold): 4 gives
+  /// ≈ 6.3e-5, held exactly by the binomial test.
   double z_threshold = 4.0;
   /// Expected flag probability; < 0 (default) derives the Theorem-1 /
   /// longest-run value analysis::aca_flag_probability(width, k).
@@ -59,7 +62,7 @@ struct DriftStatus {
   std::uint64_t windows_out_of_band = 0;
   double expected = 0.0;       ///< model flag probability
   double last_observed = 0.0;  ///< p̂ of the last completed window
-  double last_z = 0.0;         ///< z of the last completed window
+  double last_z = 0.0;         ///< normal z of the last completed window
   bool out_of_band = false;    ///< last completed window verdict
 };
 

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,15 @@ namespace {
 using McQueueT = BoundedQueue<int, mc::Sync>;
 constexpr std::chrono::microseconds kNoLinger{0};
 
+// The queue pushes spans only — a single request is a one-item span —
+// so these suites explore exactly the calls production makes.
+bool push_one(McQueueT& q, int value) {
+  return q.push_many_block(std::span<int>(&value, 1)) == 1;
+}
+bool try_push_one(McQueueT& q, int value) {
+  return q.try_push_many(std::span<int>(&value, 1)) == 1;
+}
+
 // ---------------------------------------------------------------------
 // McQueue — no loss, no duplication, FIFO per producer, close-drain,
 // linger: the queue's contract under every explored interleaving.
@@ -51,12 +61,12 @@ constexpr std::chrono::microseconds kNoLinger{0};
 void queue_two_producer_body() {
   McQueueT q(1);
   mc::Thread p1([&] {
-    MC_ASSERT(q.push_block(11));
-    MC_ASSERT(q.push_block(12));
+    MC_ASSERT(push_one(q, 11));
+    MC_ASSERT(push_one(q, 12));
   });
   mc::Thread p2([&] {
-    MC_ASSERT(q.push_block(21));
-    MC_ASSERT(q.push_block(22));
+    MC_ASSERT(push_one(q, 21));
+    MC_ASSERT(push_one(q, 22));
   });
   std::vector<int> seen;
   std::vector<int> out;
@@ -94,6 +104,12 @@ TEST(McQueue, TwoProducersNoLossNoDupFifo) {
   EXPECT_GT(r.schedules, 100u);
 }
 
+// The recovery lane's shape: a dispatcher hands a batch's flagged
+// requests over in one blocking bulk push (more than fit at once), the
+// lane is closed after the last push, and the recovery worker drains
+// with zero linger until pop_batch reports shutdown.  Every item must
+// arrive exactly once, in push order, and the 0 return must mean
+// closed AND empty.
 TEST(McQueue, BulkPushBatchPop) {
   mc::Options o;
   o.preemption_bound = 2;
@@ -104,28 +120,33 @@ TEST(McQueue, BulkPushBatchPop) {
         mc::Thread p([&] {
           std::vector<int> items{1, 2, 3};
           MC_ASSERT(q.push_many_block(items) == 3);
+          q.close();
         });
         std::vector<int> seen;
         std::vector<int> out;
-        while (seen.size() < 3) {
+        for (;;) {
           out.clear();
-          (void)q.pop_batch(out, 2, kNoLinger);
+          const std::size_t n = q.pop_batch(out, 2, kNoLinger);
+          MC_ASSERT(n == out.size());
+          if (n == 0) break;  // shutdown signal
           seen.insert(seen.end(), out.begin(), out.end());
         }
+        MC_ASSERT(q.closed());
+        MC_ASSERT(q.size() == 0);
         p.join();
-        MC_ASSERT(seen.size() == 3);
-        // Single producer: global FIFO.
-        for (int i = 0; i < 3; ++i) MC_ASSERT(seen[static_cast<std::size_t>(i)] == i + 1);
+        // Single producer: global FIFO, no loss, no duplicates.
+        MC_ASSERT(seen == (std::vector<int>{1, 2, 3}));
       },
       o);
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
+  EXPECT_FALSE(r.budget_exhausted);
 }
 
 TEST(McQueue, CloseDrainsThenSignalsShutdown) {
   const mc::Result r = mc::explore([] {
     McQueueT q(4);
-    MC_ASSERT(q.try_push(1));
-    MC_ASSERT(q.try_push(2));
+    MC_ASSERT(try_push_one(q, 1));
+    MC_ASSERT(try_push_one(q, 2));
     mc::Thread c([&] {
       std::vector<int> got;
       std::vector<int> out;
@@ -139,7 +160,7 @@ TEST(McQueue, CloseDrainsThenSignalsShutdown) {
       MC_ASSERT(got[0] == 1 && got[1] == 2);
     });
     q.close();
-    MC_ASSERT(!q.try_push(3));  // closed: pushes fail
+    MC_ASSERT(!try_push_one(q, 3));  // closed: pushes fail
     c.join();
   });
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
@@ -157,8 +178,8 @@ TEST(McQueue, LingerCollectsLateArrivals) {
       [] {
         McQueueT q(4);
         mc::Thread p([&] {
-          MC_ASSERT(q.push_block(1));
-          MC_ASSERT(q.push_block(2));
+          MC_ASSERT(push_one(q, 1));
+          MC_ASSERT(push_one(q, 2));
         });
         std::vector<int> seen;
         std::vector<int> out;
@@ -243,8 +264,8 @@ TEST(McCoverage, TwoProducerTwoConsumerTenThousandSchedules) {
   const mc::Result r = mc::explore(
       [] {
         McQueueT q(1);
-        mc::Thread p1([&] { MC_ASSERT(q.push_block(1)); });
-        mc::Thread p2([&] { MC_ASSERT(q.push_block(2)); });
+        mc::Thread p1([&] { MC_ASSERT(push_one(q, 1)); });
+        mc::Thread p2([&] { MC_ASSERT(push_one(q, 2)); });
         mc::atomic<int> popped{0};
         auto consume = [&] {
           std::vector<int> out;
@@ -383,7 +404,7 @@ TEST(McService, CompletionHandoffPublishesResult) {
       result.store(out[0] * 2, std::memory_order_relaxed);
       done.store(1, std::memory_order_release);
     });
-    MC_ASSERT(q.push_block(21));
+    MC_ASSERT(push_one(q, 21));
     if (done.load(std::memory_order_acquire) == 1) {
       MC_ASSERT(result.load(std::memory_order_relaxed) == 42);
     }
@@ -416,8 +437,8 @@ TEST(McService, CompetingWorkersDeliverExactlyOnce) {
         };
         mc::Thread w1(work);
         mc::Thread w2(work);
-        MC_ASSERT(q.push_block(0));
-        MC_ASSERT(q.push_block(1));
+        MC_ASSERT(push_one(q, 0));
+        MC_ASSERT(push_one(q, 1));
         q.close();
         w1.join();
         w2.join();
@@ -458,7 +479,7 @@ TEST(McShardedDrain, DoneImpliesTheOnlyConsumerTookEverything) {
       [] {
         McQueueT q(2);
         mc::Thread p([&] {
-          MC_ASSERT(q.push_block(7));
+          MC_ASSERT(push_one(q, 7));
           q.close();
         });
         int drained = 0;
@@ -516,8 +537,8 @@ TEST(McShardedDrain, TwoQueueNeighborStealDrainNeverStrandsItems) {
           }
         };
         mc::Thread p([&] {
-          MC_ASSERT(q0.push_block(7));
-          MC_ASSERT(q1.push_block(8));
+          MC_ASSERT(push_one(q0, 7));
+          MC_ASSERT(push_one(q1, 8));
           q0.close();
           q1.close();
         });
@@ -575,7 +596,7 @@ void expect_replayable_failure(const std::function<void()>& body,
 TEST(McMutant, QueueLostNotEmptyWakeupDeadlocks) {
   auto body = [] {
     McQueueT q(1);
-    mc::Thread p([&] { MC_ASSERT(q.push_block(7)); });
+    mc::Thread p([&] { MC_ASSERT(push_one(q, 7)); });
     std::vector<int> out;
     while (out.empty()) (void)q.pop_batch(out, 1, kNoLinger);
     p.join();
@@ -601,8 +622,8 @@ TEST(McMutant, QueueLostNotFullWakeupDeadlocks) {
   auto body = [] {
     McQueueT q(1);
     mc::Thread p([&] {
-      MC_ASSERT(q.push_block(1));
-      MC_ASSERT(q.push_block(2));  // blocks on the full queue
+      MC_ASSERT(push_one(q, 1));
+      MC_ASSERT(push_one(q, 2));  // blocks on the full queue
     });
     std::vector<int> seen;
     std::vector<int> out;
@@ -770,7 +791,7 @@ TEST(McMutant, ServicePublishBeforeResultCaught) {
       done.store(1, std::memory_order_release);  // MUTANT: before result
       result.store(out[0] * 2, std::memory_order_relaxed);
     });
-    MC_ASSERT(q.push_block(21));
+    MC_ASSERT(push_one(q, 21));
     if (done.load(std::memory_order_acquire) == 1) {
       MC_ASSERT(result.load(std::memory_order_relaxed) == 42);
     }
@@ -793,7 +814,7 @@ TEST(McMutant, TimedDrainSeparateClosedCheckLosesItem) {
   auto body = [] {
     McQueueT q(2);
     mc::Thread p([&] {
-      MC_ASSERT(q.push_block(7));
+      MC_ASSERT(push_one(q, 7));
       q.close();
     });
     int drained = 0;

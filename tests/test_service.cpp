@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "service/service.hpp"
 #include "sim/isa.hpp"
 #include "telemetry/registry.hpp"
+#include "trace/trace.hpp"
 #include "util/bitvec.hpp"
 #include "workloads/operand_stream.hpp"
 
@@ -41,6 +43,11 @@ ServiceConfig pump_config(int width, int window,
   config.queue_capacity = capacity;
   config.record_wall_time = false;
   return config;
+}
+
+// The queue pushes spans only; a single item is a one-item span.
+bool try_push_one(service::BoundedQueue<int>& queue, int value) {
+  return queue.try_push_many(std::span<int>(&value, 1)) == 1;
 }
 
 long long counter_value(const telemetry::Snapshot& snap,
@@ -407,15 +414,14 @@ TEST(ServiceTelemetry, FastPathMinimumLatencyIsOneCycle) {
 
 TEST(BoundedQueue, PushPopBatchBasics) {
   service::BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_TRUE(queue.try_push(3));
-  EXPECT_TRUE(queue.try_push(4));
-  EXPECT_FALSE(queue.try_push(5));  // full
+  std::vector<int> items{1, 2, 3, 4, 5};
+  EXPECT_EQ(queue.try_push_many(items), 4u);  // the prefix that fits
+  EXPECT_EQ(items[4], 5);                     // refused suffix untouched
+  EXPECT_FALSE(try_push_one(queue, 5));       // full
   std::vector<int> out;
   EXPECT_EQ(queue.try_pop_batch(out, 3), 3u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(queue.try_push(5));  // space again
+  EXPECT_TRUE(try_push_one(queue, 5));  // space again
   out.clear();
   EXPECT_EQ(queue.try_pop_batch(out, 10), 2u);
   EXPECT_EQ(out, (std::vector<int>{4, 5}));
@@ -424,10 +430,12 @@ TEST(BoundedQueue, PushPopBatchBasics) {
 
 TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   service::BoundedQueue<int> queue(8);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
+  std::vector<int> items{1, 2};
+  EXPECT_EQ(queue.push_many_block(items), 2u);
   queue.close();
-  EXPECT_FALSE(queue.try_push(3));
+  EXPECT_FALSE(try_push_one(queue, 3));
+  std::vector<int> late{3};
+  EXPECT_EQ(queue.push_many_block(late), 0u);
   std::vector<int> out;
   // A closed queue drains without lingering...
   EXPECT_EQ(queue.pop_batch(out, 64, std::chrono::microseconds(1'000'000)),
@@ -487,6 +495,117 @@ TEST(ServiceShardedRouting, RouteIsDeterministicPerOperandPair) {
     EXPECT_EQ(shard, first.route_of(a, b));
     EXPECT_EQ(shard, second.route_of(a, b));
   }
+}
+
+// submit() is a one-request call of the same routing body submit_many
+// runs, so under Hash a pair lands on the same shard either way.
+TEST(ServiceShardedRouting, SingleAndBulkSubmitsShareHashPlacement) {
+  auto config = pump_config(64, 8);
+  config.shards = 2;
+  AdderService singles(config);
+  AdderService bulk(config);
+  workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
+                                  0x5b1d);
+  std::vector<std::pair<BitVec, BitVec>> ops;
+  std::vector<std::future<Completion>> single_futures;
+  for (int i = 0; i < 64; ++i) {
+    const auto [a, b] = stream.next();
+    ops.emplace_back(a, b);
+    auto future = singles.submit(a, b);
+    ASSERT_TRUE(future.has_value());
+    single_futures.push_back(std::move(*future));
+  }
+  auto bulk_futures = bulk.submit_many(ops);
+  singles.flush();
+  bulk.flush();
+  std::array<long long, 2> routed{};
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Completion single = single_futures[i].get();
+    ASSERT_TRUE(bulk_futures[i].has_value());
+    const Completion chunk = bulk_futures[i]->get();
+    EXPECT_EQ(single.shard, chunk.shard) << "request " << i;
+    EXPECT_EQ(static_cast<std::size_t>(single.shard),
+              singles.route_of(ops[i].first, ops[i].second));
+    ++routed[static_cast<std::size_t>(single.shard)];
+  }
+  EXPECT_GT(routed[0], 0);
+  EXPECT_GT(routed[1], 0);
+  const auto single_snap = singles.registry().snapshot();
+  const auto bulk_snap = bulk.registry().snapshot();
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::string name =
+        "service.submitted{shard=" + std::to_string(s) + "}";
+    EXPECT_EQ(counter_value(single_snap, name), routed[s]) << name;
+    EXPECT_EQ(counter_value(bulk_snap, name), routed[s]) << name;
+  }
+}
+
+// RoundRobin takes one ticket per submit call: single submits rotate
+// over the shards, while a submit_many chunk lands whole on one shard.
+TEST(ServiceShardedRouting, RoundRobinRotatesSinglesAndKeepsChunksWhole) {
+  auto config = pump_config(64, 8);
+  config.shards = 2;
+  config.route = service::RoutePolicy::RoundRobin;
+  AdderService service(config);
+  auto pair_of = [](std::uint64_t i) {
+    return std::pair<BitVec, BitVec>{BitVec::from_u64(64, i),
+                                     BitVec::from_u64(64, 3 * i + 1)};
+  };
+  std::vector<std::future<Completion>> singles;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    auto [a, b] = pair_of(i);
+    auto future = service.submit(std::move(a), std::move(b));
+    ASSERT_TRUE(future.has_value());
+    singles.push_back(std::move(*future));
+  }
+  // Tickets 6 and 7: the first chunk goes to shard 0, the second to 1.
+  std::vector<std::pair<BitVec, BitVec>> first, second;
+  for (std::uint64_t i = 0; i < 8; ++i) first.push_back(pair_of(100 + i));
+  for (std::uint64_t i = 0; i < 5; ++i) second.push_back(pair_of(200 + i));
+  auto first_futures = service.submit_many(std::move(first));
+  auto second_futures = service.submit_many(std::move(second));
+  service.flush();
+  for (std::size_t i = 0; i < singles.size(); ++i) {
+    EXPECT_EQ(singles[i].get().shard, static_cast<int>(i % 2)) << i;
+  }
+  for (auto& future : first_futures) {
+    ASSERT_TRUE(future.has_value());
+    EXPECT_EQ(future->get().shard, 0);
+  }
+  for (auto& future : second_futures) {
+    ASSERT_TRUE(future.has_value());
+    EXPECT_EQ(future->get().shard, 1);
+  }
+  const auto snap = service.registry().snapshot();
+  EXPECT_EQ(counter_value(snap, "service.submitted{shard=0}"), 3 + 8);
+  EXPECT_EQ(counter_value(snap, "service.submitted{shard=1}"), 3 + 5);
+}
+
+TEST(ServiceShardedRouting, SubmitInstantCarriesTheShard) {
+  trace::TraceSession session;
+  {
+    auto config = pump_config(64, 8);
+    config.shards = 2;
+    config.route = service::RoutePolicy::RoundRobin;
+    AdderService service(config);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(service
+                      .submit(BitVec::from_u64(64, i),
+                              BitVec::from_u64(64, i + 1))
+                      .has_value());
+    }
+    service.flush();
+  }
+  session.stop();
+  std::array<int, 2> per_shard{};
+  for (const auto& event : session.collect()) {
+    if (event.name != trace::EventName::kSubmit) continue;
+    ASSERT_GE(event.args.shard, 0);
+    ASSERT_LT(event.args.shard, 2);
+    ++per_shard[static_cast<std::size_t>(event.args.shard)];
+  }
+  EXPECT_EQ(per_shard[0], 2);
+  EXPECT_EQ(per_shard[1], 2);
 }
 
 TEST(ServiceSharded, PerShardCompletionOrderIsFifoNoLossNoDup) {
@@ -722,8 +841,8 @@ TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
   // (test_mc_suites.cpp) pins the interleaving; this is the plain unit
   // coverage.
   service::BoundedQueue<int> queue(8);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_TRUE(try_push_one(queue, 1));
+  EXPECT_TRUE(try_push_one(queue, 2));
   std::vector<int> out;
   // Open queue with items: taken > 0, not done.
   auto result = queue.pop_batch_for(out, 64, std::chrono::microseconds(0),
@@ -738,7 +857,7 @@ TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
   EXPECT_FALSE(result.done);
   // Closed with a residual item: the pop that takes the last item also
   // reports done — one call, no separate closed() check.
-  EXPECT_TRUE(queue.try_push(3));
+  EXPECT_TRUE(try_push_one(queue, 3));
   queue.close();
   out.clear();
   result = queue.pop_batch_for(out, 64, std::chrono::microseconds(0),
@@ -750,10 +869,10 @@ TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
 
 TEST(BoundedQueue, PopBatchLingerCollectsLateArrivals) {
   service::BoundedQueue<int> queue(64);
-  EXPECT_TRUE(queue.try_push(1));
+  EXPECT_TRUE(try_push_one(queue, 1));
   std::thread late([&queue] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_TRUE(queue.try_push(2));
+    EXPECT_TRUE(try_push_one(queue, 2));
   });
   std::vector<int> out;
   const auto taken =

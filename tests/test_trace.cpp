@@ -536,6 +536,42 @@ TEST(DriftMonitor, QuietOnTheModelRate) {
   EXPECT_FALSE(status.out_of_band);
 }
 
+// In-distribution traffic must trip the alarm in at most 2Φ(−4) of its
+// windows.  At ACA(1024, 23) the model expects about one flag per
+// 16384-request window, where a normal z-test already reads z > 4 at
+// five flags.  Feed the monitor one window per possible flag count,
+// then sum the Binomial(16384, p) mass of every count it marked out of
+// band.
+TEST(DriftMonitor, FalseAlarmRateHoldsTheStatedBound) {
+  trace::DriftConfig config;
+  config.width = 1024;
+  config.k = 23;
+  config.window = 16384;
+  trace::DriftMonitor monitor(config);
+  const double p = monitor.expected_rate();
+  ASSERT_GT(p, 0.0);
+  const double n = static_cast<double>(config.window);
+  auto pmf = [&](double x) {
+    return std::exp(std::lgamma(n + 1) - std::lgamma(x + 1) -
+                    std::lgamma(n - x + 1) + x * std::log(p) +
+                    (n - x) * std::log1p(-p));
+  };
+  double false_alarm_mass = 0.0;
+  std::uint64_t first_out = 0;
+  for (std::uint64_t flags = 0; flags <= config.window; ++flags) {
+    monitor.record_batch(config.window, flags);
+    if (!monitor.status().out_of_band) continue;
+    if (first_out == 0) first_out = flags;
+    false_alarm_mass += pmf(static_cast<double>(flags));
+  }
+  const double bound = std::erfc(4.0 / std::sqrt(2.0));  // 2Φ(−4)
+  EXPECT_LE(false_alarm_mass, bound);
+  // Still a detector: a handful of flags over the ~1 expected is out.
+  EXPECT_GT(first_out, 1u);
+  EXPECT_LE(first_out, 12u);
+  EXPECT_EQ(monitor.status().windows, config.window + 1);
+}
+
 TEST(DriftMonitor, ServiceIntegrationScreamsOnAdversarialOperands) {
   trace::DriftConfig drift_config;
   drift_config.width = 64;
