@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <cstring>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -64,7 +65,7 @@ struct Metrics {
   telemetry::Histogram& read_ns;    ///< per read burst (until EAGAIN)
   telemetry::Histogram& decode_ns;  ///< per decode pass over a burst
   telemetry::Histogram& write_ns;   ///< per write-buffer flush
-  telemetry::Histogram& server_ns;  ///< dispatch -> response encoded
+  telemetry::Histogram& server_ns;  ///< dispatch -> response run encoded
 };
 
 struct Connection;
@@ -147,10 +148,10 @@ struct Connection : std::enable_shared_from_this<Connection> {
 };
 
 // One read burst's completion context: every request a bulk submit
-// accepted completes through it, and the burst's last completion
-// frees it.  It holds what each response needs — the connection, the
-// metrics, the frame ids and trace bits — and `t0`, the bulk push that
-// is every frame's dispatch instant.  `refs` starts at the burst size
+// accepted completes through it, a run at a time, and the burst's last
+// completion frees it.  It holds what each response needs — the
+// connection, the metrics, the frame ids and trace bits — and `t0`, the
+// bulk push that is every frame's dispatch instant.  `refs` starts at the burst size
 // plus one guard the loop holds through the submit; the loop drops the
 // guard together with the refused requests' references, so the context
 // lives until both the submit call and every accepted request are done.
@@ -171,44 +172,61 @@ struct Burst final : service::AdderService::CompletionSink {
         width(width_in),
         window(window_in) {}
 
-  void complete(std::size_t index, service::Completion&& completion) override {
-    const Tag tag = tags[index];
+  /// One run of completions: every response is encoded under one
+  /// pending-buffer lock, the run shares one server_ns stamp (taken
+  /// after the encode, under the same lock), and the owning loop gets
+  /// one wakeup.
+  void complete(std::span<const std::uint32_t> indices,
+                std::span<service::Completion> completions) override {
+    const std::size_t n = indices.size();
     ResponseFrame response;
-    response.id = tag.id;
     response.status = Status::Ok;
-    response.flags = static_cast<std::uint8_t>(
-        (completion.flagged ? kFlagRecovered : 0) |
-        (completion.speculative_wrong ? kFlagWrong : 0) |
-        (tag.sampled ? kFlagTraceSampled : 0));
     response.width = width;
     response.window = window;
-    response.latency_ticks =
-        static_cast<std::uint64_t>(completion.latency_cycles);
-    response.sum = std::move(completion.sum);
+    std::uint64_t server_ns = 0;
     {
       util::LockGuard lock(conn->pending_mutex);
-      encode_response(response, conn->pending);
+      for (std::size_t i = 0; i < n; ++i) {
+        service::Completion& completion = completions[i];
+        const Tag& tag = tags[indices[i]];
+        response.id = tag.id;
+        response.flags = static_cast<std::uint8_t>(
+            (completion.flagged ? kFlagRecovered : 0) |
+            (completion.speculative_wrong ? kFlagWrong : 0) |
+            (tag.sampled ? kFlagTraceSampled : 0));
+        response.latency_ticks =
+            static_cast<std::uint64_t>(completion.latency_cycles);
+        response.sum = std::move(completion.sum);
+        encode_response(response, conn->pending);
+      }
+      // Counted before the lock drops: the loop can flush these bytes
+      // the moment it does, and a response on the wire is already
+      // counted in net.frames_out and net.server_ns.
+      server_ns = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      metrics->server_ns.record_n(server_ns, n);
+      metrics->frames_out.increment(static_cast<long long>(n));
     }
-    metrics->frames_out.increment();
-    const auto server_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    metrics->server_ns.record(server_ns);
-    if (tag.sampled && trace::enabled()) {
-      trace::EventArgs args;
-      args.batch = conn->id;
-      args.k = window;
-      args.er = completion.flagged ? 1 : 0;
-      args.req = tag.id;
-      args.has_req = true;
-      trace::emit_span(trace::EventName::kNetServe, trace::to_session_ns(t0),
-                       server_ns, args);
+    if (trace::enabled()) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const Tag& tag = tags[indices[i]];
+        if (!tag.sampled) continue;
+        trace::EventArgs args;
+        args.batch = conn->id;
+        args.k = window;
+        args.er = completions[i].flagged ? 1 : 0;
+        args.req = tag.id;
+        args.has_req = true;
+        trace::emit_span(trace::EventName::kNetServe,
+                         trace::to_session_ns(t0), server_ns, args);
+      }
     }
-    // Another thread may free `this` the moment our reference drops, so
+    // Another thread may free `this` the moment our references drop, so
     // keep the connection on the stack for the wakeup.
     auto keep = conn;
-    release(1);
+    release(n);
     Notifier& notifier = *keep->notifier;
     notifier.push(std::move(keep));
   }

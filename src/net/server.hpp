@@ -13,9 +13,10 @@
 // completion context, which holds the connection, the frame ids and
 // the dispatch timestamp, and is freed by the burst's last completion.
 // Completions arrive on *service* threads (dispatcher fast path or
-// recovery lane): the context encodes the response into the
-// connection's pending buffer and wakes the owning loop through an
-// eventfd — the loop does the actual write.  Nothing in the request
+// recovery lane) in runs, one per batch per connection: the context
+// encodes the run's responses into the connection's pending buffer
+// under one lock and wakes the owning loop once through an eventfd —
+// the loop does the actual write.  Nothing in the request
 // path ever blocks an event loop: submission uses try-semantics only.
 //
 // Backpressure maps the service's overflow policy onto the socket:

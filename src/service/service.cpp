@@ -345,6 +345,8 @@ void AdderService::worker_loop(std::size_t shard_index) {
   DispatchBuffers buffers;
   buffers.batch.reserve(max_batch);
   buffers.flagged.reserve(max_batch);
+  buffers.runs.indices.reserve(max_batch);
+  buffers.runs.completions.reserve(max_batch);
   std::vector<Request>& batch = buffers.batch;
   const bool steal =
       config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
@@ -389,9 +391,12 @@ void AdderService::worker_loop(std::size_t shard_index) {
 
 void AdderService::recovery_loop(Shard& shard) {
   std::vector<RecoveryItem> items;
+  RunBuffers runs;
+  runs.indices.reserve(sim::kMaxBatchLanes);
+  runs.completions.reserve(sim::kMaxBatchLanes);
   while (shard.recovery_queue.pop_batch(items, sim::kMaxBatchLanes,
                                         std::chrono::microseconds{0}) > 0) {
-    for (auto& item : items) recover_one(item);
+    recover_batch(items, shard, runs);
     items.clear();
   }
 }
@@ -474,7 +479,9 @@ std::size_t AdderService::dispatch(DispatchBuffers& buffers, Shard& shard,
   // arrived in the same cycle (every submit_many chunk) share one
   // latency, so runs collapse into one record_n and the counters into
   // one increment each — otherwise 8 workers serialize on these cache
-  // lines and telemetry becomes the throughput ceiling.
+  // lines and telemetry becomes the throughput ceiling.  Delivery is
+  // batched the same way: each sink gets one call per run of its
+  // requests, not one per request.
   long long n_fast = 0;
   std::uint64_t run_value = 0, run_count = 0;
   for (std::size_t lane = 0; lane < batch.size(); ++lane) {
@@ -520,7 +527,7 @@ std::size_t AdderService::dispatch(DispatchBuffers& buffers, Shard& shard,
         }
         trace::emit_instant(trace::EventName::kComplete, args);
       }
-      deliver(request, std::move(completion));
+      deliver(buffers.runs, request, std::move(completion));
       ++n_fast;
       continue;
     }
@@ -546,6 +553,7 @@ std::size_t AdderService::dispatch(DispatchBuffers& buffers, Shard& shard,
     item.shard = static_cast<int>(shard_index);
   }
   if (run_count > 0) latency_cycles_.record_n(run_value, run_count);
+  flush_run(buffers.runs);
   if (n_fast > 0) {
     fast_path_.increment(n_fast);
     completed_.increment(n_fast);
@@ -572,7 +580,7 @@ std::size_t AdderService::dispatch(DispatchBuffers& buffers, Shard& shard,
       // has joined, so this push always lands.
       shard.recovery_queue.push_many_block(flagged_items);
     } else {
-      for (auto& item : flagged_items) recover_one(item);
+      recover_batch(flagged_items, shard, buffers.runs);
     }
     flagged_items.clear();
   }
@@ -581,62 +589,87 @@ std::size_t AdderService::dispatch(DispatchBuffers& buffers, Shard& shard,
   return dispatched;
 }
 
-void AdderService::recover_one(RecoveryItem& item) {
+void AdderService::recover_batch(std::span<RecoveryItem> items, Shard& shard,
+                                 RunBuffers& runs) {
   const bool trace_recovery = trace::enabled() && trace::sample_recovery();
-  const std::uint64_t t_start = trace_recovery ? trace::now_ns() : 0;
-  Request& request = item.request;
-  // The recovery lane recomputes the sum exactly — the software twin of
-  // the paper's recovery adder stage.
-  auto exact = request.a.add_with_carry(request.b);
-  if (config_.postmortem != nullptr) {
-    config_.postmortem->record(request.a, request.b, config_.pipeline.window,
-                               item.speculative_wrong, item.batch, item.lane,
-                               t_start);
-  }
-  if (trace_recovery) {
+  long long n_wrong = 0;
+  for (RecoveryItem& item : items) {
+    const std::uint64_t t_start = trace_recovery ? trace::now_ns() : 0;
+    Request& request = item.request;
+    // Everything that reads the operands runs before the sum
+    // overwrites `a`.
+    if (config_.postmortem != nullptr) {
+      config_.postmortem->record(request.a, request.b,
+                                 config_.pipeline.window,
+                                 item.speculative_wrong, item.batch,
+                                 item.lane, t_start);
+    }
     trace::EventArgs args;
-    args.batch = item.batch;
-    args.lane = item.lane;
-    args.k = config_.pipeline.window;
-    args.er = 1;
-    args.shard = config_.shards > 1 ? item.shard : -1;
-    args.chain = core::longest_propagate_chain(request.a, request.b);
-    args.a_lo = request.a.limbs()[0];
-    args.b_lo = request.b.limbs()[0];
-    args.has_operands = true;
-    trace::emit_complete(trace::EventName::kRecovery, t_start, args);
-    trace::emit_instant(trace::EventName::kComplete, args);
+    if (trace_recovery) {
+      args.batch = item.batch;
+      args.lane = item.lane;
+      args.k = config_.pipeline.window;
+      args.er = 1;
+      args.shard = config_.shards > 1 ? item.shard : -1;
+      args.chain = core::longest_propagate_chain(request.a, request.b);
+      args.a_lo = request.a.limbs()[0];
+      args.b_lo = request.b.limbs()[0];
+      args.has_operands = true;
+    }
+    // The recovery lane recomputes the sum exactly — the software twin
+    // of the paper's recovery adder stage — over the `a` limbs.
+    request.a += request.b;
+    if (trace_recovery) {
+      trace::emit_complete(trace::EventName::kRecovery, t_start, args);
+      trace::emit_instant(trace::EventName::kComplete, args);
+    }
+    latency_cycles_.record(static_cast<std::uint64_t>(item.latency_cycles));
+    if (config_.record_wall_time) {
+      const auto elapsed =
+          std::chrono::steady_clock::now() - request.arrival_time;
+      latency_ns_.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+              .count()));
+    }
+    if (item.speculative_wrong) ++n_wrong;
+    Completion completion;
+    completion.sum = std::move(request.a);
+    completion.flagged = true;
+    completion.speculative_wrong = item.speculative_wrong;
+    completion.latency_cycles = item.latency_cycles;
+    completion.shard = item.shard;
+    deliver(runs, request, std::move(completion));
   }
-  latency_cycles_.record(static_cast<std::uint64_t>(item.latency_cycles));
-  if (config_.record_wall_time) {
-    const auto elapsed =
-        std::chrono::steady_clock::now() - request.arrival_time;
-    latency_ns_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
-  }
-  recovered_.increment();
-  completed_.increment();
-  Shard& shard = *shards_[static_cast<std::size_t>(item.shard)];
-  if (shard.recovered != nullptr) shard.recovered->increment();
-  if (shard.completed != nullptr) shard.completed->increment();
-  if (item.speculative_wrong) wrong_.increment();
-  Completion completion;
-  completion.sum = std::move(exact.sum);
-  completion.flagged = true;
-  completion.speculative_wrong = item.speculative_wrong;
-  completion.latency_cycles = item.latency_cycles;
-  completion.shard = item.shard;
-  deliver(request, std::move(completion));
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  flush_run(runs);
+  const auto n = static_cast<long long>(items.size());
+  recovered_.increment(n);
+  completed_.increment(n);
+  if (shard.recovered != nullptr) shard.recovered->increment(n);
+  if (shard.completed != nullptr) shard.completed->increment(n);
+  if (n_wrong > 0) wrong_.increment(n_wrong);
+  inflight_.fetch_sub(n, std::memory_order_acq_rel);
 }
 
-void AdderService::deliver(Request& request, Completion&& completion) {
-  if (request.sink != nullptr) {
-    request.sink->complete(request.sink_index, std::move(completion));
-  } else {
+void AdderService::deliver(RunBuffers& runs, Request& request,
+                           Completion&& completion) {
+  if (request.sink == nullptr) {
     request.promise->set_value(std::move(completion));
+    return;
   }
+  if (request.sink != runs.sink) {
+    flush_run(runs);
+    runs.sink = request.sink;
+  }
+  runs.indices.push_back(request.sink_index);
+  runs.completions.push_back(std::move(completion));
+}
+
+void AdderService::flush_run(RunBuffers& runs) {
+  if (runs.sink == nullptr) return;
+  runs.sink->complete(runs.indices, runs.completions);
+  runs.sink = nullptr;
+  runs.indices.clear();
+  runs.completions.clear();
 }
 
 std::size_t AdderService::pump() {

@@ -198,15 +198,19 @@ class AdderService {
 
   /// Completion delivery for callers that cannot block on a future —
   /// the network front-end's event loops (src/net/server.cpp).  One sink
-  /// serves a whole try_submit_many call: `complete` runs once per
-  /// accepted request, on whichever service thread completes it
-  /// (dispatcher fast path or recovery lane), with the request's index
-  /// in the submitted span.  It must be cheap and must not call back
-  /// into submit paths.  The sink must stay alive until its last
+  /// serves a whole try_submit_many call, and its completions arrive in
+  /// runs: `complete` runs once per run of consecutive completed
+  /// requests of this sink within one dispatched batch (fast path) or
+  /// one popped recovery batch (recovery lane), on whichever service
+  /// thread completed them.  completions[i] answers the request at index
+  /// indices[i] of the submitted span; indices ascend within a run, and
+  /// the sink may move the sums out.  It must be cheap and must not call
+  /// back into submit paths.  The sink must stay alive until its last
   /// accepted request has completed.
   class CompletionSink {
    public:
-    virtual void complete(std::size_t index, Completion&& completion) = 0;
+    virtual void complete(std::span<const std::uint32_t> indices,
+                          std::span<Completion> completions) = 0;
 
    protected:
     ~CompletionSink() = default;
@@ -281,8 +285,8 @@ class AdderService {
     /// the sink path (one request per network frame) must not pay for a
     /// promise it never reads.
     std::optional<std::promise<Completion>> promise;
-    /// When set, completion is delivered to sink->complete(sink_index)
-    /// instead of the promise (try_submit_many).
+    /// When set, completion is delivered to `sink` as index
+    /// `sink_index` of a run instead of the promise (try_submit_many).
     CompletionSink* sink = nullptr;
     std::uint32_t sink_index = 0;
     long long arrival_cycle = 0;
@@ -330,14 +334,25 @@ class AdderService {
     telemetry::Gauge* queue_depth = nullptr;
   };
 
+  /// Sink completions on their way out, gathered into one run per
+  /// sink: consecutive sink completions of one sink leave in a single
+  /// CompletionSink::complete call.  Reused across batches, so delivery
+  /// allocates nothing in the steady state.
+  struct RunBuffers {
+    CompletionSink* sink = nullptr;  ///< owner of the open run, if any
+    std::vector<std::uint32_t> indices;
+    std::vector<Completion> completions;
+  };
+
   /// One dispatcher's buffers, reused across batches so a steady-state
   /// dispatch allocates nothing: the popped batch, the evaluator's limb
-  /// scratch, and the batch's flagged requests on their way to the
-  /// recovery lane.
+  /// scratch, the batch's flagged requests on their way to the recovery
+  /// lane, and the fast path's delivery runs.
   struct DispatchBuffers {
     std::vector<Request> batch;
     std::vector<std::uint64_t> limbs;
     std::vector<RecoveryItem> flagged;
+    RunBuffers runs;
   };
 
   void worker_loop(std::size_t shard_index);
@@ -348,8 +363,12 @@ class AdderService {
   /// batch the executing worker took from a neighbor's queue.
   std::size_t dispatch(DispatchBuffers& buffers, Shard& shard,
                        std::size_t shard_index, bool stolen);
-  /// Recompute a flagged request's sum exactly and complete it.
-  void recover_one(RecoveryItem& item);
+  /// The recovery lane's body, in worker and pump mode alike: recompute
+  /// each flagged request's sum exactly (in place over its `a` limbs),
+  /// deliver the batch in runs, then account for it once.  Every item
+  /// belongs to `shard`.
+  void recover_batch(std::span<RecoveryItem> items, Shard& shard,
+                     RunBuffers& runs);
   /// The request-building step every submit path shares: checks every
   /// operand width (std::invalid_argument, before anything is moved),
   /// then moves `ops` into `requests`, stamped with one arrival time.
@@ -374,9 +393,13 @@ class AdderService {
   BulkResult push_routed(std::span<Request> requests, bool block,
                          bool count_rejected,
                          std::vector<std::size_t>& refused);
-  /// Hand the finished completion to whichever channel the request
-  /// carries (sink or promise).
-  static void deliver(Request& request, Completion&& completion);
+  /// Hand the finished completion to the request's channel: a promise
+  /// is fulfilled at once; a sink completion joins the open run, which
+  /// is delivered first when it belongs to another sink.
+  static void deliver(RunBuffers& runs, Request& request,
+                      Completion&& completion);
+  /// Deliver the open run, if any, and leave `runs` empty.
+  static void flush_run(RunBuffers& runs);
 
   ServiceConfig config_;
   std::unique_ptr<telemetry::Registry> owned_registry_;

@@ -167,6 +167,20 @@ BitVec BitVec::operator+(const BitVec& rhs) const {
   return add_with_carry(rhs).sum;
 }
 
+BitVec& BitVec::operator+=(const BitVec& rhs) {
+  require_same_width(*this, rhs);
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < limbs_.size(); ++i) {
+    const std::uint64_t partial = limbs_[i] + rhs.limbs_[i];
+    const std::uint64_t total = partial + carry;
+    carry = static_cast<std::uint64_t>(partial < limbs_[i]) |
+            static_cast<std::uint64_t>(total < partial);
+    limbs_[i] = total;
+  }
+  canonicalize();
+  return *this;
+}
+
 BitVec BitVec::operator-(const BitVec& rhs) const {
   // a - b = a + ~b + 1 (mod 2^width).
   return add_with_carry(~rhs, /*carry_in=*/true).sum;

@@ -70,6 +70,9 @@ class BitVec {
   BitVec operator+(const BitVec& rhs) const;
   BitVec operator-(const BitVec& rhs) const;
 
+  /// In-place addition over this vector's own limbs: allocates nothing.
+  BitVec& operator+=(const BitVec& rhs);
+
   /// Addition that also reports the carry out of the most significant bit.
   struct SumWithCarry;  // defined after the class (holds a BitVec)
   SumWithCarry add_with_carry(const BitVec& rhs, bool carry_in = false) const;

@@ -116,6 +116,29 @@ TEST(BitVec, AddWithCarryAtNonLimbWidths) {
   EXPECT_TRUE(r.carry_out);
 }
 
+TEST(BitVec, PlusEqualsMatchesAddWithCarryInPlace) {
+  // Widths off and on the limb boundary: the carry out of the top bit
+  // must be masked away, and the sum must land in the same limb buffer.
+  Rng rng(0x91e5);
+  for (const int width : {1, 63, 64, 65, 100, 128, 200}) {
+    for (int i = 0; i < 200; ++i) {
+      BitVec a(width), b(width);
+      for (auto& limb : a.limbs()) limb = rng.next_u64();
+      for (auto& limb : b.limbs()) limb = rng.next_u64();
+      a = a.resized(width);  // re-canonicalize the random top limb
+      b = b.resized(width);
+      const BitVec expected = a.add_with_carry(b).sum;
+      const std::uint64_t* storage = a.limbs().data();
+      a += b;
+      EXPECT_EQ(a, expected) << "width " << width;
+      EXPECT_EQ(a.limbs().data(), storage);
+    }
+    BitVec ones = BitVec::ones(width);
+    ones += BitVec::from_u64(width, 1);
+    EXPECT_TRUE(ones.is_zero()) << "width " << width;
+  }
+}
+
 TEST(BitVec, CarryInPropagates) {
   const BitVec a = BitVec::from_u64(16, 10);
   const BitVec b = BitVec::from_u64(16, 20);

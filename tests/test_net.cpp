@@ -503,6 +503,56 @@ TEST(NetLoopback, ShardedServiceServesPipelinedTraffic) {
   EXPECT_EQ(completed, n);
 }
 
+TEST(NetLoopback, ServerNsCountsEveryFrameInOrder) {
+  // Completions reach a connection in runs, one stamp per run: every
+  // frame must still be counted once in net.server_ns and in
+  // net.frames_out.  One dispatcher and a window that never flags keep
+  // each connection's responses in request order.
+  const int width = 64, window = 64;
+  ServiceConfig config =
+      service_config(width, window, OverflowPolicy::Block);
+  config.workers = 1;
+  AdderService service(config);
+  net::Server server(net::ServerConfig{}, service);
+  constexpr int kFrames = 256;
+  std::vector<net::Client> clients;
+  clients.emplace_back("127.0.0.1", server.port());
+  clients.emplace_back("127.0.0.1", server.port());
+  util::Rng rng(0x5e7e);
+  std::vector<std::vector<BitVec>> sums(clients.size());
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    clients[c].cork(true);
+    for (int i = 0; i < kFrames; ++i) {
+      const BitVec a = random_vec(rng, width);
+      const BitVec b = random_vec(rng, width);
+      sums[c].push_back(a + b);
+      clients[c].send(a, b);
+    }
+  }
+  for (auto& client : clients) client.flush();  // one write each
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    for (int i = 0; i < kFrames; ++i) {
+      const ResponseFrame response = clients[c].recv();
+      ASSERT_EQ(response.status, Status::Ok);
+      ASSERT_EQ(response.id, static_cast<std::uint64_t>(i + 1))
+          << "connection " << c << " answered out of request order";
+      EXPECT_EQ(response.sum, sums[c][static_cast<std::size_t>(i)]);
+    }
+  }
+  const auto snap = service.registry().snapshot();
+  long long frames_out = -1;
+  for (const auto& [name, value] : snap.counters) {
+    if (name == "net.frames_out") frames_out = value;
+  }
+  std::uint64_t server_ns_count = 0;
+  for (const auto& h : snap.histograms) {
+    if (h.name == "net.server_ns") server_ns_count = h.count;
+  }
+  const auto sent = static_cast<long long>(clients.size()) * kFrames;
+  EXPECT_EQ(frames_out, sent);
+  EXPECT_EQ(static_cast<long long>(server_ns_count), sent);
+}
+
 TEST(NetLoopback, RejectPolicyAnswersRejectedFrames) {
   // Tiny queue + saturating pipelined client under Reject: every
   // request gets SOME answer, and the correct ones are exact.

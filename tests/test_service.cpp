@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -627,10 +629,13 @@ TEST(ServiceSharded, PerShardCompletionOrderIsFifoNoLossNoDup) {
   struct Recorder final : AdderService::CompletionSink {
     Recorder(std::mutex& m, std::array<std::vector<int>, 4>& c, int b)
         : mutex(m), completed(c), base(b) {}
-    void complete(std::size_t index, Completion&& c) override {
+    void complete(std::span<const std::uint32_t> indices,
+                  std::span<Completion> completions) override {
       std::lock_guard<std::mutex> lock(mutex);
-      completed[static_cast<std::size_t>(c.shard)].push_back(
-          base + static_cast<int>(index));
+      for (std::size_t i = 0; i < indices.size(); ++i) {
+        completed[static_cast<std::size_t>(completions[i].shard)].push_back(
+            base + static_cast<int>(indices[i]));
+      }
     }
     std::mutex& mutex;
     std::array<std::vector<int>, 4>& completed;
@@ -668,6 +673,104 @@ TEST(ServiceSharded, PerShardCompletionOrderIsFifoNoLossNoDup) {
     total += completed[static_cast<std::size_t>(s)].size();
   }
   EXPECT_EQ(total, static_cast<std::size_t>(kRequests));
+}
+
+TEST(ServiceSink, OneRunPerSinkPerBatch) {
+  // Two sinks whose bulk submits interleave, half a batch each, so every
+  // pumped batch holds one chunk of each.  Delivery comes in runs: per
+  // pumped batch each sink gets at most one fast-path call (its
+  // unflagged requests) and one recovery-lane call (its flagged ones),
+  // indices ascending.  Width 200 leaves the top limb partial, so the
+  // recovery lane's in-place sum must mask it.
+  constexpr int kWidth = 200, kWindow = 8;
+  constexpr std::size_t kChunk = 32, kRounds = 8;
+  struct Call {
+    std::vector<std::uint32_t> indices;
+    std::vector<Completion> completions;
+  };
+  struct Recorder final : AdderService::CompletionSink {
+    void complete(std::span<const std::uint32_t> indices,
+                  std::span<Completion> completions) override {
+      Call& call = calls.emplace_back();
+      call.indices.assign(indices.begin(), indices.end());
+      for (Completion& c : completions) {
+        call.completions.push_back(std::move(c));
+      }
+    }
+    std::vector<Call> calls;
+  };
+  for (const auto dist : {workloads::Distribution::Uniform,
+                          workloads::Distribution::Complementary}) {
+    SCOPED_TRACE(dist == workloads::Distribution::Uniform ? "Uniform"
+                                                          : "Complementary");
+    ServiceConfig config = pump_config(kWidth, kWindow);
+    config.max_batch = 2 * static_cast<int>(kChunk);
+    AdderService service(config);
+    workloads::OperandStream stream(dist, kWidth, 0x5151);
+    std::array<Recorder, 2> sinks;
+    std::array<std::vector<std::pair<BitVec, BitVec>>, 2> sent;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      for (std::size_t s = 0; s < 2; ++s) {
+        std::vector<std::pair<BitVec, BitVec>> ops;
+        for (std::size_t i = 0; i < kChunk; ++i) {
+          auto op = stream.next();
+          sent[s].push_back(op);
+          ops.push_back(std::move(op));
+        }
+        std::vector<std::size_t> refused;
+        ASSERT_EQ(service.try_submit_many(ops, sinks[s], refused).accepted,
+                  kChunk);
+      }
+    }
+    // The two sinks number their requests per call (0..kChunk-1);
+    // `round` maps them back onto `sent`.
+    long long fast = 0, flagged = 0;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      std::array<std::size_t, 2> before{sinks[0].calls.size(),
+                                        sinks[1].calls.size()};
+      ASSERT_EQ(service.pump(), 2 * kChunk);
+      for (std::size_t s = 0; s < 2; ++s) {
+        std::array<int, 2> calls_by_lane{};  // [fast path, recovery lane]
+        std::vector<bool> seen(kChunk, false);
+        for (std::size_t c = before[s]; c < sinks[s].calls.size(); ++c) {
+          const Call& call = sinks[s].calls[c];
+          ASSERT_FALSE(call.indices.empty());
+          ASSERT_EQ(call.indices.size(), call.completions.size());
+          ASSERT_TRUE(std::is_sorted(call.indices.begin(),
+                                     call.indices.end()));
+          const bool lane = call.completions.front().flagged;
+          ++calls_by_lane[lane ? 1 : 0];
+          for (std::size_t i = 0; i < call.indices.size(); ++i) {
+            const Completion& got = call.completions[i];
+            ASSERT_LT(call.indices[i], kChunk);
+            ASSERT_FALSE(seen[call.indices[i]]) << "duplicate completion";
+            seen[call.indices[i]] = true;
+            EXPECT_EQ(got.flagged, lane) << "run mixes the two lanes";
+            const auto& [a, b] = sent[s][round * kChunk + call.indices[i]];
+            const auto exact = a.add_with_carry(b);
+            const core::AcaResult spec = core::aca_add(a, b, kWindow);
+            EXPECT_EQ(got.sum, exact.sum);
+            EXPECT_EQ(got.flagged, core::aca_flag(a, b, kWindow));
+            EXPECT_EQ(got.speculative_wrong,
+                      spec.sum != exact.sum ||
+                          spec.carry_out != exact.carry_out);
+            (got.flagged ? flagged : fast) += 1;
+          }
+        }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+                  static_cast<long>(kChunk))
+            << "sink " << s << " lost a completion in round " << round;
+        EXPECT_LE(calls_by_lane[0], 1) << "sink " << s << " round " << round;
+        EXPECT_LE(calls_by_lane[1], 1) << "sink " << s << " round " << round;
+      }
+    }
+    EXPECT_EQ(service.pump(), 0u);
+    // Both lanes carried traffic (Complementary flags nearly everything).
+    EXPECT_GT(flagged, 0);
+    if (dist == workloads::Distribution::Uniform) {
+      EXPECT_GT(fast, 0);
+    }
+  }
 }
 
 TEST(ServiceSharded, MultiProducerBlockCompletesAllAndLabelsAddUp) {
